@@ -232,7 +232,6 @@ def _autoscale_core(spec) -> AutoscaleRun:
         models=spec.models,
         online_refit=spec.online_refit,
         preparation_periods=spec.preparation_periods,
-        scheduler=getattr(spec, "scheduler", "heap"),
         workload="trace",
         trace=spec.trace,
         max_users=spec.max_users,

@@ -750,6 +750,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
         compare_reports, load_report, render_report, run_suite, save_report,
     )
 
+    # Load the baseline first: a stale schema fails before the long run.
+    baseline = load_report(args.baseline) if args.baseline else None
     report = run_suite(quick=args.quick)
     print(render_report(report))
     save_report(report, args.out)
@@ -760,10 +762,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
         key = record_report(report, ArtifactStore(args.store))
         print(f"recorded in lab store {args.store} as {key[:12]}...")
-    if args.baseline:
-        problems = compare_reports(
-            report, load_report(args.baseline), tolerance=args.tolerance
-        )
+    if baseline is not None:
+        problems = compare_reports(report, baseline, tolerance=args.tolerance)
         if problems:
             for problem in problems:
                 print(f"PERF REGRESSION: {problem}", file=sys.stderr)

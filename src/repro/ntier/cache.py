@@ -14,6 +14,8 @@ block on connections — which is what shifts DCM's effective S*(N) (see
 every get/put/delete is an accounted interaction with CPU demand under a
 nearly-linear contention law (caches scale well, they are not free), so
 monitoring, conservation checks and crash semantics all apply unchanged.
+Each operation is one CPU burst, so a node is a
+:class:`~repro.ntier.server.SingleStageServer` (callbacks, not processes).
 :class:`CacheTier` spreads keys over the nodes with the same
 consistent-hash ring the db shards use.
 """
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List
 
 from repro.errors import ConfigurationError
 from repro.ntier.contention import ContentionModel
-from repro.ntier.server import TierServer
+from repro.ntier.server import SingleStageServer
 from repro.ntier.sharding import ConsistentHashRing
 from repro.sim.events import Event
 
@@ -86,7 +88,11 @@ class CacheSpec:
         return cls(**obj)
 
 
-class CacheServer(TierServer):
+#: Operations a cache node serves.
+CACHE_OPS = ("get", "put", "delete")
+
+
+class CacheServer(SingleStageServer):
     """One cache node: an LRU store with optional TTL expiry.
 
     Only *presence* is stored (the simulator models load, not data): an
@@ -117,19 +123,17 @@ class CacheServer(TierServer):
         self.expirations = 0
         self.invalidations = 0
 
-    def _process(
-        self,
-        request: "Request",
-        started_holder: list,
-        op: str = "get",
-        key: int = 0,
-        out: Optional[list] = None,
-        **kwargs: Any,
-    ) -> Generator[Event, Any, None]:
+    def _admit(self, request: "Request", kwargs: Dict[str, Any]) -> float:
         # No admission pool: a cache node serves every operation directly
         # (concurrency pressure shows up as CPU contention, not queueing).
-        started_holder[0] = self.env.now
-        yield self.cpu.execute(self.op_demand)
+        op = kwargs.get("op", "get")
+        if op not in CACHE_OPS:
+            raise ConfigurationError(f"unknown cache op {op!r}")
+        return self.op_demand
+
+    def _commit(self, request: "Request", kwargs: Dict[str, Any]) -> None:
+        op = kwargs.get("op", "get")
+        key = kwargs.get("key", 0)
         if op == "get":
             expiry = self._store.get(key)
             if expiry is not None and expiry < self.env.now:
@@ -141,6 +145,7 @@ class CacheServer(TierServer):
             else:
                 self._store.move_to_end(key)
                 self.hits += 1
+                out = kwargs.get("out")
                 if out is not None:
                     out.append(key)
         elif op == "put":
@@ -152,11 +157,8 @@ class CacheServer(TierServer):
             while len(self._store) > self.capacity:
                 self._store.popitem(last=False)
                 self.evictions += 1
-        elif op == "delete":
-            if self._store.pop(key, None) is not None:
-                self.invalidations += 1
-        else:
-            raise ConfigurationError(f"unknown cache op {op!r}")
+        elif self._store.pop(key, None) is not None:  # op == "delete"
+            self.invalidations += 1
 
     @property
     def entries(self) -> int:

@@ -69,17 +69,23 @@ class ConnectionPool:
         return self._resource.occupancy_integral()
 
     def checkout(self) -> Generator[Event, object, Acquire]:
-        """Generator helper: ``conn = yield from pool.checkout()``."""
+        """Generator helper: ``conn = yield from pool.checkout()``.
+
+        Like :meth:`ThreadPool.checkout`: a free connection may be granted
+        in place, without yielding (see :meth:`Resource.claim`).
+        """
         asked = self.env.now
-        req = self._resource.acquire()
-        try:
-            yield req
-        except BaseException:
-            # Mirror ThreadPool.checkout: a crash interrupt landing between
-            # the grant and our resume must not leak the connection.
-            if not req.cancel() and req.granted:
-                self._resource.release(req)
-            raise
+        req = self._resource.claim()
+        if req.callbacks is not None:  # not granted in place: wait for it
+            try:
+                yield req
+            except BaseException:
+                # Mirror ThreadPool.checkout: a crash interrupt landing
+                # between the grant and our resume must not leak the
+                # connection.
+                if not req.cancel() and req.granted:
+                    self._resource.release(req)
+                raise
         self._checkouts += 1
         self._wait_time_total += self.env.now - asked
         return req

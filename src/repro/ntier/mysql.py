@@ -9,23 +9,26 @@ MySQL has no explicit request thread-pool knob in the paper; its
 request-processing concurrency is whatever the upstream Tomcat connection
 pools let through, bounded by ``max_connections`` (a wide default, as in
 stock MySQL — hitting it means connection errors, not queueing).
+
+A query is one CPU burst, so the server is a
+:class:`~repro.ntier.server.SingleStageServer`: queries run as callbacks,
+not processes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.errors import CapacityError
 from repro.ntier.contention import MYSQL_CONTENTION, ContentionModel
 from repro.ntier.request import Request
-from repro.ntier.server import TierServer
-from repro.sim.events import Event
+from repro.ntier.server import SingleStageServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 
-class MySQLServer(TierServer):
+class MySQLServer(SingleStageServer):
     """One MySQL instance (read-only replica semantics for browse workloads)."""
 
     tier = "db"
@@ -66,20 +69,19 @@ class MySQLServer(TierServer):
         concurrency in MySQL')."""
         return self.cpu.active_jobs
 
-    def _process(
-        self, request: Request, started_holder: list, demand: float = 0.0, **kwargs: Any
-    ) -> Generator[Event, Any, None]:
+    def _admit(self, request: Request, kwargs: Dict[str, Any]) -> float:
         if self.active_queries >= self.max_connections:
             raise CapacityError(f"{self.name}: max_connections exceeded")
         # Admitted: from here on the query may commit even if the client-side
         # attempt dies (an orphaned in-flight query finishes on its own), so
         # the retry guard must treat the attempt as non-replayable.
         request.db_started += 1
-        started_holder[0] = self.env.now
-        yield self.cpu.execute(demand)
-        # The query committed.  Aborted/partial queries never reach this
-        # line, so a retry after a *failed* attempt is safe iff this counter
-        # did not move (the retry policy's idempotency guard).
+        return kwargs.get("demand", 0.0)
+
+    def _commit(self, request: Request, kwargs: Dict[str, Any]) -> None:
+        # The query committed.  Aborted/partial queries never get here, so a
+        # retry after a *failed* attempt is safe iff this counter did not
+        # move (the retry policy's idempotency guard).
         request.db_commits += 1
 
     def snapshot(self) -> dict:

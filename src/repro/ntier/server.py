@@ -4,9 +4,15 @@ A :class:`TierServer` owns a :class:`~repro.sim.processor.ContentionProcessor`
 (its CPU, governed by the tier's ground-truth contention law) and exposes the
 cumulative counters the monitoring agent samples every second:
 arrivals/completions/failures, residence-time sums, CPU-utilization and
-concurrency integrals, and pool statistics.  Subclasses implement
-:meth:`_process` — a generator describing how one interaction flows through
-the server.
+concurrency integrals, and pool statistics.  Two ways to serve an
+interaction:
+
+* :class:`TierServer` runs each interaction as a :class:`Process` over the
+  subclass's :meth:`~TierServer._process` generator (Apache, Tomcat: they
+  hold a thread across several stages, and their crash semantics — an
+  orphaned downstream child keeps running — rest on the process);
+* :class:`SingleStageServer` serves each interaction as one CPU burst run
+  as callbacks, with no process at all (MySQL, cache nodes).
 
 Life-cycle: a server starts ``accepting``; :meth:`begin_drain` stops new
 admissions (HAProxy keeps it registered but stops picking it) and
@@ -22,7 +28,7 @@ from repro.check import config as _checks
 from repro.errors import InvariantViolation, TopologyError
 from repro.ntier.contention import ContentionModel
 from repro.ntier.request import Request
-from repro.sim.events import Event, Process
+from repro.sim.events import URGENT, Event, Interrupt, Process
 from repro.sim.processor import ContentionProcessor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +69,10 @@ class TierServer:
         # cumulative counters, so the sanitizer can cross-check the two and
         # catch double-counted or lost requests (request conservation).
         self._inflight = 0
-        # Live interaction processes, insertion-ordered so a crash kills
-        # them deterministically.  Populated by ``handle``; reaped on exit.
-        self._live: Dict[Process, None] = {}
+        # Live interactions (processes, or result events of a single-stage
+        # server), insertion-ordered so a crash kills them deterministically.
+        # Populated by ``handle``; pruned when the interaction resolves.
+        self._live: Dict[Event, None] = {}
         # Extra per-interaction network delay on admission (LatencySpike
         # fault).  Exactly 0.0 yields no event — zero-cost when unused.
         self.ingress_latency = 0.0
@@ -137,6 +144,9 @@ class TierServer:
         killed = 0
         for proc in list(self._live):
             if not proc.is_alive:
+                # Interrupted before its first resume: the body never ran,
+                # so nothing else prunes it.
+                del self._live[proc]
                 continue
             target = proc.target
             proc.interrupt(reason)
@@ -174,32 +184,39 @@ class TierServer:
         interaction = request.trace(self.name, self.tier, arrived)
         proc = self.env.process(self._handle(request, arrived, interaction, kwargs))
         self._live[proc] = None
-        proc.callbacks.append(self._reap)
         return proc
 
-    def _reap(self, proc: Event) -> None:
-        self._live.pop(proc, None)
-
     def _handle(self, request, arrived, interaction, kwargs) -> Generator[Event, Any, None]:
+        # Pruned here rather than by a callback on the process, so the
+        # caller stays the lone waiter on the interaction's return.
+        proc = self.env.active_process
         try:
             started_holder = [arrived]
             if self.ingress_latency > 0.0:
                 yield self.env.timeout(self.ingress_latency)
             yield from self._process(request, started_holder, **kwargs)
         except Exception:
-            self.failures += 1
-            self._inflight -= 1
-            self._check_conservation()
-            self._maybe_finish_drain()
+            self._live.pop(proc, None)
+            self._book_failure()
             raise
+        self._live.pop(proc, None)
+        self._book_completion(arrived, started_holder[0], interaction)
+
+    def _book_completion(self, arrived: float, started: float, interaction) -> None:
         now = self.env.now
         self.completions += 1
         self._inflight -= 1
         self.residence_time_total += now - arrived
-        self.queue_time_total += started_holder[0] - arrived
+        self.queue_time_total += started - arrived
         if interaction is not None:
-            interaction.started = started_holder[0]
+            interaction.started = started
             interaction.completed = now
+        self._check_conservation()
+        self._maybe_finish_drain()
+
+    def _book_failure(self) -> None:
+        self.failures += 1
+        self._inflight -= 1
         self._check_conservation()
         self._maybe_finish_drain()
 
@@ -246,3 +263,107 @@ class TierServer:
             "cpu_nonidle_integral": self.cpu.nonidle_integral(),
             "outstanding": float(self.outstanding),
         }
+
+
+class SingleStageServer(TierServer):
+    """A server that serves each interaction as one CPU burst, as callbacks.
+
+    MySQL servers and cache nodes do one thing per interaction: admit it,
+    run one CPU job, book the outcome.  They get no :class:`Process`, no
+    ``_handle`` generator and no reaping callback.  :meth:`handle` books the
+    arrival, runs the subclass's :meth:`_admit` hook (which may refuse, and
+    returns the CPU demand) and submits the CPU job; a callback on the job
+    books the completion through :meth:`_commit` and fires the event
+    :meth:`handle` returned — dispatched in place when it is provably the
+    next event (see :mod:`repro.sim.core`).  A ``LatencySpike`` ingress
+    delay is a timeout before admission on this same path.
+
+    :meth:`crash` fails every pending result with ``Interrupt(reason)`` and
+    books exactly one failure for it, through an ``URGENT`` wake-up at the
+    crash instant — where an interrupted process would have booked it.  An
+    orphaned CPU job keeps running (the CPU cannot take work back) but
+    neither commits nor counts.
+    """
+
+    def handle(self, request: Request, **kwargs: Any) -> Event:
+        """Serve one interaction of ``request``; returns its result event.
+
+        The event succeeds with ``None`` when the interaction completes and
+        fails with the admission error (e.g. ``CapacityError``) or the
+        crash ``Interrupt`` otherwise.
+        """
+        if not self.accepting:
+            raise TopologyError(f"{self.name} is not accepting requests")
+        self.arrivals += 1
+        self._inflight += 1
+        env = self.env
+        arrived = env._now
+        interaction = request.trace(self.name, self.tier, arrived)
+        result = Event(env)
+        self._live[result] = None
+        if self.ingress_latency > 0.0:
+            env.timeout(self.ingress_latency).callbacks.append(
+                lambda _ev: self._serve(result, request, arrived, interaction, kwargs)
+            )
+        else:
+            self._serve(result, request, arrived, interaction, kwargs)
+        return result
+
+    def _serve(self, result: Event, request: Request, arrived: float,
+               interaction, kwargs: Dict[str, Any]) -> None:
+        if result not in self._live:
+            return  # crashed during the ingress delay
+        try:
+            demand = self._admit(request, kwargs)
+        except InvariantViolation:
+            raise
+        except Exception as err:  # refused: the caller gets the error
+            del self._live[result]
+            self._book_failure()
+            result.fail(err)
+            return
+        started = self.env._now
+        self.cpu.execute(demand).callbacks.append(
+            lambda _ev: self._finish(result, request, arrived, started,
+                                     interaction, kwargs)
+        )
+
+    def _finish(self, result: Event, request: Request, arrived: float,
+                started: float, interaction, kwargs: Dict[str, Any]) -> None:
+        live = self._live
+        if result not in live:
+            return  # orphan of a crash: neither commits nor counts
+        del live[result]
+        self._commit(request, kwargs)
+        self._book_completion(arrived, started, interaction)
+        # The result is this callback's last action.
+        result._succeed_in_place()
+
+    def crash(self, reason: str = "crash") -> int:
+        """Kill the server: fail every pending interaction (see class doc)."""
+        self._accepting = False
+        pending = list(self._live)
+        self._live.clear()
+        for result in pending:
+            wakeup = Event(self.env)
+            wakeup.callbacks.append(
+                lambda _ev, result=result: self._abort(result, reason)
+            )
+            wakeup.succeed(priority=URGENT)
+        return len(pending)
+
+    def _abort(self, result: Event, reason: str) -> None:
+        self._book_failure()
+        result.fail(Interrupt(reason))
+
+    def _admit(self, request: Request, kwargs: Dict[str, Any]) -> float:
+        """Subclass hook: admit one interaction; returns its CPU demand.
+
+        Raising refuses the interaction: the server books a failure and the
+        caller's result event fails with the exception.
+        """
+        raise NotImplementedError
+
+    def _commit(self, request: Request, kwargs: Dict[str, Any]) -> None:
+        """Subclass hook: book the effect of one completed interaction."""
+        raise NotImplementedError

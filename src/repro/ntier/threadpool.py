@@ -77,20 +77,24 @@ class ThreadPool:
         """Generator helper: ``thread = yield from pool.checkout()``.
 
         Accounts queueing delay; the caller must later call
-        :meth:`checkin` with the returned handle.
+        :meth:`checkin` with the returned handle.  A free thread whose grant
+        would be the next event dispatched is granted in place and the
+        helper returns without yielding (see :meth:`Resource.claim`).
         """
         asked = self.env.now
-        req = self._resource.acquire()
-        try:
-            yield req
-        except BaseException:
-            # The waiting process died at the yield (crash interrupt, kernel
-            # shutdown): withdraw a still-queued request, or give back a slot
-            # that was granted in the same timestep but never resumed us —
-            # cancel() returns False exactly when the grant already happened.
-            if not req.cancel() and req.granted:
-                self._resource.release(req)
-            raise
+        req = self._resource.claim()
+        if req.callbacks is not None:  # not granted in place: wait for it
+            try:
+                yield req
+            except BaseException:
+                # The waiting process died at the yield (crash interrupt,
+                # kernel shutdown): withdraw a still-queued request, or give
+                # back a slot that was granted in the same timestep but never
+                # resumed us — cancel() returns False exactly when the grant
+                # already happened.
+                if not req.cancel() and req.granted:
+                    self._resource.release(req)
+                raise
         self._acquisitions += 1
         self._wait_time_total += self.env.now - asked
         return req

@@ -26,13 +26,18 @@ made of:
     Fig 5 race — the same scenario the same-seed digest regression test
     pins bit-for-bit (see :func:`fig5_scenario` / :func:`autoscale_digest`).
 
-A separate *scale* section exercises the million-user path (ROADMAP
-item 1): ``fig5-100k`` / ``fig5-1m`` replay the Large Variation trace over
-a :class:`~repro.workload.batched.BatchedPopulation` under the calendar-
-queue scheduler at 10⁵ and 10⁶ users respectively (see
-:func:`fig5_scale_scenario`).  The 10⁶ variant is the acceptance run the
-committed baseline records — a full Large Variation trace at a million
-users in minutes, impossible with per-user sessions.
+A separate *scale* section exercises the million-user path:
+``fig5-100k`` / ``fig5-1m`` replay the Large Variation trace over a
+:class:`~repro.workload.batched.BatchedPopulation` at 10⁵ and 10⁶ users
+respectively (see :func:`fig5_scale_scenario`).  The 10⁶ variant is the
+acceptance run the committed baseline records — a full Large Variation
+trace at a million users in minutes, impossible with per-user sessions.
+
+The micro scenarios count kernel operations.  The end-to-end scenarios
+(``fig5-autoscale`` and the scale runs) count *completed simulated
+requests* and also return the kernel events the run scheduled, so the
+report can show events per request: a change that removes kernel events
+from a request's path must read as a speed-up, not as a slowdown.
 
 Wall-clock reads in this module are benchmark telemetry only — they are
 what is being *measured* — and never feed back into simulation results,
@@ -205,22 +210,22 @@ def autoscale_digest(run) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def bench_fig5(quick: bool) -> Tuple[int, float]:
-    """End-to-end Fig-5-shaped run; ops = kernel events scheduled."""
+def bench_fig5(quick: bool) -> Tuple[int, float, int]:
+    """End-to-end Fig-5-shaped run: (completed requests, seconds, events)."""
     spec = fig5_scenario(
         demand_scale=FIG5_DEMAND_SCALE * (2.0 if quick else 1.0)
     )
     start = perf_counter()  # repro: noqa[DCM001] -- benchmark timing
     run = run_fig5(spec)
     elapsed = perf_counter() - start  # repro: noqa[DCM001] -- benchmark timing
-    return run.system.env._seq, elapsed
+    return run.system.completed_count(), elapsed, run.system.env._seq
 
 
 def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
                         seed: int = 0):
     """A Large-Variation replay at ``max_users`` via the million-user path:
-    batched aggregate population + calendar-queue scheduler, no monitoring
-    (pure workload/kernel pressure)."""
+    batched aggregate population, no monitoring (pure workload/kernel
+    pressure)."""
     from repro.scenario import ScenarioSpec
     from repro.workload import large_variation
 
@@ -229,7 +234,6 @@ def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
         soft="1000/100/80",
         seed=seed,
         monitoring=False,
-        scheduler="calendar",
         workload="batched-trace",
         max_users=max_users,
         think_time=3.0,
@@ -241,8 +245,9 @@ def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
 
 
 def bench_fig5_scale(max_users: int,
-                     duration: Optional[float] = None) -> Tuple[int, float]:
-    """Run one batched Large-Variation replay; ops = kernel events."""
+                     duration: Optional[float] = None) -> Tuple[int, float, int]:
+    """One batched Large-Variation replay: (completed requests, seconds,
+    events)."""
     from repro.scenario import Deployment
 
     spec = fig5_scale_scenario(max_users, duration)
@@ -250,15 +255,15 @@ def bench_fig5_scale(max_users: int,
     with Deployment(spec) as dep:
         dep.run()
     elapsed = perf_counter() - start  # repro: noqa[DCM001] -- benchmark timing
-    return dep.env._seq, elapsed
+    return dep.system.completed_count(), elapsed, dep.env._seq
 
 
-def bench_fig5_100k() -> Tuple[int, float]:
+def bench_fig5_100k() -> Tuple[int, float, int]:
     """The CI-sized scale bench: 10⁵ users, 60 s horizon."""
     return bench_fig5_scale(FIG5_100K_USERS, FIG5_100K_DURATION)
 
 
-def bench_fig5_1m() -> Tuple[int, float]:
+def bench_fig5_1m() -> Tuple[int, float, int]:
     """The acceptance-sized scale bench: 10⁶ users, full 600 s trace."""
     return bench_fig5_scale(FIG5_1M_USERS)
 

@@ -9,23 +9,26 @@ report it emits is a stable, machine-comparable JSON document:
 .. code-block:: json
 
     {
-      "schema": "repro-bench-kernel/2",
+      "schema": "repro-bench-kernel/3",
       "quick": false,
       "python": "3.11.7",
       "platform": "Linux-...",
       "calibration_mops": 24.1,
       "suites": {
         "disarmed": {"event-dispatch": {"ops": 200000, "seconds": 0.21,
-                                        "ops_per_sec": 952000.0}, ...},
+                                        "ops_per_sec": 952000.0}, ...,
+                     "fig5-autoscale": {"ops": 9500, "seconds": 0.7,
+                                        "ops_per_sec": 13500.0,
+                                        "events_per_req": 15.1}},
         "armed":    {...}
       },
       "scale": {
-        "fig5-100k": {"ops": 1700000, "seconds": 14.8,
-                      "ops_per_sec": 115000.0},
+        "fig5-100k": {"ops": 50000, "seconds": 12.1,
+                      "ops_per_sec": 4100.0, "events_per_req": 22.3},
         "fig5-1m":   {"...": "full mode only"}
       },
       "headline": {"event_throughput": 952000.0, "normalized": 39.5,
-                   "scale_normalized": 0.0049}
+                   "scale_normalized": 0.00017}
     }
 
 ``headline.event_throughput`` is the disarmed ``event-dispatch`` rate —
@@ -34,13 +37,21 @@ the calibration rate, yielding a machine-independent figure CI can gate
 on: a slower runner lowers both numerator and denominator, so only a
 *kernel* regression moves the ratio.
 
-Schema v2 adds the ``scale`` section: batched Large-Variation replays on
-the million-user path (calendar-queue scheduler + batched populations,
-sanitizer disarmed).  ``fig5-100k`` runs in every mode and backs the CI
-gate via ``headline.scale_normalized``; ``fig5-1m`` — the full 10⁶-user,
+The ``scale`` section holds batched Large-Variation replays on the
+million-user path (batched populations, sanitizer disarmed).
+``fig5-100k`` runs in every mode and backs the CI gate via
+``headline.scale_normalized``; ``fig5-1m`` — the full 10⁶-user,
 600-simulated-second trace — runs in full mode only and is the committed
 baseline's proof that a million-user Large Variation trace completes in
 minutes.
+
+Schema v3 changes what the end-to-end rows (``fig5-autoscale`` and the
+``scale`` rows) count: ``ops`` is *completed simulated requests*, not
+kernel events, and ``events_per_req`` reports the kernel events per
+completed request beside it.  Under v2 a change that removed kernel
+events from a request's path lowered the gated rate and read as a
+slowdown.  :func:`load_report` refuses v2 reports, since their
+``scale_normalized`` is in different units.
 
 Wall-clock reads here are the measurement itself and never feed a
 simulation, hence the ``DCM001`` suppressions.
@@ -59,8 +70,9 @@ from repro.errors import ConfigurationError
 from repro.perf import kernel
 
 #: Schema tag; bump when the report layout changes incompatibly.
-#: v2 added the "scale" section and headline.scale_normalized.
-SCHEMA = "repro-bench-kernel/2"
+#: v2 added the "scale" section and headline.scale_normalized; v3 counts
+#: completed requests (not kernel events) as the end-to-end rows' ops.
+SCHEMA = "repro-bench-kernel/3"
 
 #: Best-of repetitions for the micro scenarios (full, quick).
 REPS = (5, 3)
@@ -80,12 +92,21 @@ def calibrate(ops: int) -> float:
 
 
 def _best_of(fn, *args, reps: int) -> Dict[str, Any]:
-    ops, best = 0, float("inf")
+    """Fastest of ``reps`` runs of ``fn`` -> ``(ops, seconds[, events])``.
+
+    The optional third element (kernel events, end-to-end rows only) adds
+    ``events_per_req`` to the row.
+    """
+    best: Optional[tuple] = None
     for _ in range(reps):
-        ops, seconds = fn(*args)
-        if seconds < best:
-            best = seconds
-    return {"ops": ops, "seconds": best, "ops_per_sec": ops / best}
+        row = fn(*args)
+        if best is None or row[1] < best[1]:
+            best = row
+    ops, seconds = best[0], best[1]
+    out = {"ops": ops, "seconds": seconds, "ops_per_sec": ops / seconds}
+    if len(best) > 2:
+        out["events_per_req"] = best[2] / max(1, ops)
+    return out
 
 
 def run_suite(quick: bool = False) -> Dict[str, Any]:
@@ -122,7 +143,8 @@ def run_suite(quick: bool = False) -> Dict[str, Any]:
         "headline": {
             "event_throughput": round(throughput, 1),
             "normalized": round(throughput / (calibration * 1e6), 6),
-            "scale_normalized": round(scale_rate / (calibration * 1e6), 6),
+            # A request rate is ~1e-4 of the calibration rate: keep digits.
+            "scale_normalized": round(scale_rate / (calibration * 1e6), 9),
         },
     }
 
@@ -131,21 +153,28 @@ def render_report(report: Dict[str, Any]) -> str:
     """Human-readable table of a suite report."""
     from repro.analysis.tables import render_table
 
+    def line(label: str, name: str, row: Dict[str, Any]) -> List[object]:
+        per_req = row.get("events_per_req")
+        return [label, name, f"{row['ops_per_sec']:,.0f}",
+                f"{row['seconds']:.3f}", row["ops"],
+                "-" if per_req is None else f"{per_req:.2f}"]
+
     rows: List[List[object]] = []
     for label in ("disarmed", "armed"):
         for name, row in report["suites"][label].items():
-            rows.append([label, name, f"{row['ops_per_sec']:,.0f}",
-                         f"{row['seconds']:.3f}", row["ops"]])
+            rows.append(line(label, name, row))
     for name, row in report.get("scale", {}).items():
-        rows.append(["scale", name, f"{row['ops_per_sec']:,.0f}",
-                     f"{row['seconds']:.3f}", row["ops"]])
+        rows.append(line("scale", name, row))
     rows.append(["-", "calibration (Mops/s)",
-                 f"{report['calibration_mops']:,.3f}", "-", "-"])
+                 f"{report['calibration_mops']:,.3f}", "-", "-", "-"])
     rows.append(["-", "normalized throughput",
-                 f"{report['headline']['normalized']:.3f}", "-", "-"])
+                 f"{report['headline']['normalized']:.3f}", "-", "-", "-"])
     title = "kernel microbenchmarks" + (" [quick]" if report["quick"] else "")
-    return render_table(["checks", "scenario", "ops/sec", "best (s)", "ops"],
-                        rows, title=title)
+    title += " (end-to-end rows: ops = completed requests)"
+    return render_table(
+        ["checks", "scenario", "ops/sec", "best (s)", "ops", "events/req"],
+        rows, title=title,
+    )
 
 
 def save_report(report: Dict[str, Any], path: str) -> None:
@@ -188,9 +217,17 @@ def record_report(report: Dict[str, Any], store) -> str:
 def load_report(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    if report.get("schema") != SCHEMA:
+    schema = report.get("schema")
+    if schema == "repro-bench-kernel/2":
         raise ConfigurationError(
-            f"{path}: unsupported bench schema {report.get('schema')!r} "
+            f"{path}: bench schema {schema!r} counts kernel events as the "
+            f"end-to-end ops, so its rates cannot be compared with "
+            f"{SCHEMA!r} (completed requests); re-record it with "
+            f"`repro perf --out {path}`"
+        )
+    if schema != SCHEMA:
+        raise ConfigurationError(
+            f"{path}: unsupported bench schema {schema!r} "
             f"(expected {SCHEMA!r})"
         )
     return report
@@ -203,9 +240,9 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
     Gates on the *normalized* event throughput (dispatch rate divided by
     the host's calibration rate) so a slower CI runner does not read as a
     kernel regression; ``tolerance`` is the allowed fractional drop.  When
-    both reports carry the v2 ``scale_normalized`` headline (the
-    ``fig5-100k`` million-user-path rate, identical in quick and full
-    mode), it is gated the same way.
+    both reports carry the ``scale_normalized`` headline (the
+    ``fig5-100k`` million-user-path rate of completed requests, identical
+    in quick and full mode), it is gated the same way.
     """
     problems: List[str] = []
     base = baseline["headline"]["normalized"]
@@ -223,8 +260,8 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
         if cur_scale < scale_floor:
             problems.append(
                 f"normalized fig5-100k scale throughput regressed: "
-                f"{cur_scale:.4f} < {scale_floor:.4f} "
-                f"(baseline {base_scale:.4f} - {tolerance:.0%})"
+                f"{cur_scale:.4g} < {scale_floor:.4g} "
+                f"(baseline {base_scale:.4g} - {tolerance:.0%})"
             )
     return problems
 

@@ -27,7 +27,6 @@ from repro.ntier.cache import CacheSpec
 from repro.ntier.contention import ContentionModel
 from repro.ntier.sharding import ShardingSpec
 from repro.ntier.softconfig import HardwareConfig, SoftResourceConfig
-from repro.sim.core import SCHEDULERS
 from repro.workload.batched import DEFAULT_BATCHES
 from repro.workload.traces import WorkloadTrace
 
@@ -39,11 +38,14 @@ def _canonical_json(obj: Any) -> str:
 
 #: Schema tag written by :meth:`ScenarioSpec.to_json_obj`.  v1 payloads
 #: (written before the fault subsystem) carry no ``schema`` key and no
-#: ``faults``/``resilience`` keys; v2 payloads predate the scheduler and
-#: batched-workload fields; v3 payloads predate the stateful tiers
-#: (``cache`` / ``sharding`` / ``write_fraction``).  All are accepted
-#: unchanged — the new fields default to the old behaviour (binary heap,
-#: unbatched populations, no cache, single unsharded MySQL tier).
+#: ``faults``/``resilience`` keys; v2 payloads predate the batched-workload
+#: fields; v3 payloads predate the stateful tiers (``cache`` / ``sharding``
+#: / ``write_fraction``).  All are accepted unchanged — the new fields
+#: default to the old behaviour (unbatched populations, no cache, single
+#: unsharded MySQL tier).  v3 and v4 payloads written before the kernel lost
+#: its alternative event queue may carry a ``scheduler`` key (``"heap"`` or
+#: ``"calendar"``); it is accepted and ignored, since there is only the one
+#: binary heap and event order never depended on the choice.
 SCHEMA = "repro-scenario/4"
 
 _ACCEPTED_SCHEMAS = (
@@ -117,9 +119,6 @@ class ScenarioSpec:
       ``users`` feeds the closed-loop generators, ``trace`` +
       ``max_users`` the trace replayers, and ``batches`` / ``window``
       the batched aggregate populations (million-user scale).
-    * **Kernel** — ``scheduler`` picks the pending-event structure
-      (``heap`` or ``calendar``); event ordering is identical under
-      either, so this is a pure performance knob.
     * **Duration** — explicit ``duration`` or, when ``None``, the trace's
       own length.
 
@@ -159,9 +158,6 @@ class ScenarioSpec:
     online_refit: bool = True
     preparation_periods: Optional[Tuple[Tuple[str, float], ...]] = None
     target_servers: Optional[Tuple[Tuple[str, int], ...]] = None
-
-    # -- kernel --------------------------------------------------------------
-    scheduler: str = "heap"
 
     # -- workload ------------------------------------------------------------
     workload: Optional[str] = None
@@ -251,10 +247,6 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"workload {self.workload!r} requires a trace"
             )
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; pick from {SCHEDULERS}"
-            )
         if self.batches < 1:
             raise ConfigurationError(
                 f"batches must be >= 1, got {self.batches}"
@@ -337,7 +329,6 @@ class ScenarioSpec:
             else dict(self.preparation_periods),
             "target_servers": None if self.target_servers is None
             else dict(self.target_servers),
-            "scheduler": self.scheduler,
             "workload": self.workload,
             "users": self.users,
             "max_users": self.max_users,
@@ -400,7 +391,6 @@ class ScenarioSpec:
             else dict(obj["preparation_periods"]),
             target_servers=None if obj.get("target_servers") is None
             else dict(obj["target_servers"]),
-            scheduler=obj.get("scheduler", "heap"),
             workload=obj.get("workload"),
             users=obj["users"],
             max_users=obj["max_users"],

@@ -17,8 +17,11 @@ Example
 >>> proc.value
 3.0
 
-Performance notes
------------------
+The event heap
+--------------
+Pending events live in one binary heap of ``(when, priority, seq, event)``
+tuples: earliest time first, then ``URGENT`` before ``NORMAL``, then
+scheduling order (``seq``, a counter that every queued entry advances).
 :meth:`Environment.run` is the kernel's innermost loop — every simulated
 event in every experiment passes through it — so it inlines the work of
 :meth:`step` (heap pop, clock advance, callback dispatch) with
@@ -31,40 +34,59 @@ callback rather than calling ``config.active("clock")`` per event; ``run``
 binds it to a loop-local once on entry, so (dis)arming the sanitizer takes
 effect at the next ``run``/``step`` call.
 
-A still-``PENDING`` event popped off the heap is, by construction, a
+A still-``PENDING`` entry popped off the heap is a *first resume*: a
 :class:`Process` placeholder for its own first resume (see
-``Process.__init__``); the dispatch loops recognise it and call
-``Process._start`` directly.  Consequently only *triggered* events may be
-passed to :meth:`schedule`.
-
-Pluggable schedulers
---------------------
-The pending-event set behind the environment is pluggable
-(``Environment(scheduler=...)``): the default ``"heap"`` keeps the binary
-heap and its dedicated inlined loops untouched, while ``"calendar"`` swaps
-in :class:`repro.sim.calqueue.CalendarQueue` — amortised O(1) instead of
-O(log n) per event, the scaling fix for million-user populations.  Both
-orderings are identical (entries are the same ``(when, priority, seq,
-event)`` tuples), so same-seed runs are bit-identical under either; the
-``scheduler_equivalence`` audit property and the golden-digest tests hold
-this line.  A scheduler *instance* exposing ``push``/``pop``/``peek``/
-``__len__`` may also be injected directly.
+``Process.__init__``) or a bare kernel entry such as a processor's
+completion timer (:mod:`repro.sim.processor`).  The dispatch loops call its
+``_start()`` directly.  Consequently only *triggered* events may be passed
+to :meth:`schedule`.
 
 Defused first-resume placeholders (see :meth:`Process.interrupt`) stay in
-the pending set until their timestamp is reached (*lazy deletion*); the
+the heap until their timestamp is reached (*lazy deletion*); the
 environment counts them in ``_dead`` so :attr:`queue_size` and :meth:`peek`
 report only live events.
+
+In-place dispatch
+-----------------
+An event triggered at the current instant normally goes onto the heap, and
+its waiters run when the loop pops it.  When the event is provably the next
+one the loop would pop, its waiters run immediately instead, saving the
+heap round trip.  Two conditions must both hold:
+
+* nothing is queued at the current instant (the heap is empty or its head
+  lies in the future); and
+* the trigger is the last action of the only callback the loop is running.
+
+The loop tracks the second condition with one flag, ``_lone``.  It is true
+while the loop runs a lone callback or a first resume, and false while it
+runs one of several callbacks of one event.  The first condition alone is
+not enough: with two waiters on one event, the first waiter's trigger would
+run its own waiters before the second waiter runs.  An event dispatched in
+place takes no sequence number, so the relative order of queued entries —
+and every same-seed outcome — is unchanged.  The trigger sites decide
+whether they are the last action; four places qualify:
+
+* the single completion of a processor timer
+  (``ContentionProcessor._on_timer``);
+* a process return (``Process._resume``);
+* a pool checkout that finds room (``ThreadPool.checkout`` /
+  ``ConnectionPool.checkout`` via :meth:`Resource.claim`), which then
+  returns without yielding;
+* the result of a single-stage interaction (MySQL query, cache operation;
+  see :class:`repro.ntier.server.SingleStageServer`).
+
+Everywhere else an event goes through the heap.  One consequence for
+callers: :meth:`step` pops one entry, but the waiters of events dispatched
+in place from it run within the same call.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Iterable, Optional
 
 from repro.check import config as _checks
 from repro.errors import InvariantViolation, SimulationError
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.events import (
     NORMAL,
     PENDING,
@@ -78,9 +100,6 @@ from repro.sim.events import (
 )
 
 _INF = float("inf")
-
-#: Registry-style names accepted by ``Environment(scheduler=...)``.
-SCHEDULERS = ("heap", "calendar")
 
 #: Cached ``config.active("clock")``; re-resolved whenever the sanitizer
 #: configuration changes.
@@ -110,53 +129,19 @@ class Environment:
     ----------
     initial_time:
         Simulated time at which the clock starts (seconds).
-    scheduler:
-        Pending-event structure: ``"heap"`` (default binary heap, dedicated
-        inlined dispatch loops), ``"calendar"`` (adaptive
-        :class:`~repro.sim.calqueue.CalendarQueue`, amortised O(1) per
-        event), or a scheduler instance exposing
-        ``push``/``pop``/``peek``/``__len__``.  Event ordering — and hence
-        every same-seed digest — is identical across schedulers.  ``None``
-        (the default) resolves through the ``REPRO_SCHEDULER`` environment
-        variable, falling back to ``"heap"`` — this is how CI runs the
-        whole suite under the calendar queue without touching call sites;
-        code that must pin an ordering structure passes it explicitly.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Union[str, Any, None] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._seq = 0
         #: Defused-but-still-queued entries awaiting lazy deletion.
         self._dead = 0
+        #: False only while the loop runs one of several callbacks of one
+        #: event (see "In-place dispatch" in the module notes).
+        self._lone = True
         self._active_proc: Optional[Process] = None
         self._active_event: Optional[Event] = None
-        self._heap: Optional[list[tuple[float, int, int, Event]]]
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "heap")  # repro: noqa[DCM006]
-        if scheduler == "heap":
-            self._heap = []
-            self._scheduler = None
-        elif scheduler == "calendar":
-            self._heap = None
-            self._scheduler = CalendarQueue(on_purge=self._note_purge)
-        elif all(hasattr(scheduler, a) for a in ("push", "pop", "peek", "__len__")):
-            self._heap = None
-            self._scheduler = scheduler
-            if hasattr(scheduler, "on_purge"):
-                scheduler.on_purge = self._note_purge
-        else:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS} "
-                "or pass an instance with push/pop/peek/__len__"
-            )
-
-    def _note_purge(self, _entry: Any) -> None:
-        """Scheduler callback: one lazily-deleted dead entry left the queue."""
-        self._dead -= 1
+        self._heap: list[tuple[float, int, int, Any]] = []
 
     # -- clock & introspection ----------------------------------------------
     @property
@@ -181,9 +166,7 @@ class Environment:
         Defused first-resume placeholders awaiting lazy deletion are
         excluded — callers see only events that can still fire.
         """
-        heap = self._heap
-        stored = len(heap) if heap is not None else len(self._scheduler)
-        return stored - self._dead
+        return len(self._heap) - self._dead
 
     # -- event construction ---------------------------------------------------
     def event(self) -> Event:
@@ -213,7 +196,7 @@ class Environment:
         ``delay`` must be finite and non-negative: a negative delay would
         schedule into the past, and NaN/inf delays (which sail past a plain
         ``delay < 0`` guard because every NaN comparison is false) would
-        silently corrupt the ordering invariant of the pending-event set.
+        silently corrupt the ordering invariant of the heap.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(
@@ -221,12 +204,7 @@ class Environment:
                 f"(delay={delay!r})"
             )
         self._seq += 1
-        entry = (self._now + delay, priority, self._seq, event)
-        heap = self._heap
-        if heap is None:
-            self._scheduler.push(entry)
-        else:
-            heappush(heap, entry)
+        heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next *live* scheduled event, or ``inf`` if none remain.
@@ -236,9 +214,6 @@ class Environment:
         which simulation state can actually change.
         """
         heap = self._heap
-        if heap is None:
-            head = self._scheduler.peek()
-            return head[0] if head is not None else _INF
         while heap:
             head = heap[0]
             event = head[3]
@@ -250,21 +225,21 @@ class Environment:
         return _INF
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to its fire time."""
+        """Process exactly one heap entry, advancing the clock to its time.
+
+        Waiters of events dispatched in place from that entry's callbacks
+        (see "In-place dispatch") run within the same call.
+        """
         heap = self._heap
-        if heap is None:
-            if self._scheduler.peek() is None:
-                raise SimulationError("step() on an empty event queue")
-            when, _prio, _seq, event = self._scheduler.pop()
-        else:
-            if not heap:
-                raise SimulationError("step() on an empty event heap")
-            when, _prio, _seq, event = heappop(heap)
+        if not heap:
+            raise SimulationError("step() on an empty event heap")
+        when, _prio, _seq, event = heappop(heap)
         if when < self._now and _CLOCK_CHECK:
             raise _clock_violation(self._now, when)
         self._now = when
+        self._lone = True
         if event._state == PENDING:
-            # A process's directly-scheduled first resume.
+            # A first resume (process placeholder or bare kernel entry).
             event._start()
             return
         event._state = PROCESSED
@@ -272,8 +247,13 @@ class Environment:
         event.callbacks = None
         if callbacks:
             self._active_event = event
-            for callback in callbacks:
-                callback(event)
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                self._lone = False
+                for callback in callbacks:
+                    callback(event)
+                self._lone = True
             self._active_event = None
         elif not event._ok and isinstance(event, Process):
             # A failed process nobody is waiting on: surface the error rather
@@ -286,14 +266,13 @@ class Environment:
         ``until`` may be ``None`` (run until the queue drains), a number (run
         until that simulated time), or an :class:`Event` (run until it has
         been processed; its value is returned, and a failed event re-raises
-        its exception).
+        its exception).  An ``until`` event dispatched in place is noticed
+        as soon as the entry whose callbacks dispatched it returns.
 
         The time bound is **inclusive**: events scheduled exactly at
         ``until`` execute before the call returns, and the clock lands on
-        ``until`` afterwards.  This boundary is pinned by tests for every
-        dispatch loop (heap fast/bounded and scheduler-generic) so
-        alternative schedulers cannot drift from it.  ``until=inf`` is
-        equivalent to unbounded; NaN is rejected.
+        ``until`` afterwards.  ``until=inf`` is equivalent to unbounded;
+        NaN is rejected.
         """
         stop_event: Optional[Event] = None
         stop_time = _INF
@@ -313,16 +292,16 @@ class Environment:
         # per-event stop checks.  Both loops are semantically identical to
         # step(); event states are the literal PENDING=0 / PROCESSED=2.
         heap = self._heap
-        if heap is None:
-            return self._run_scheduler(stop_event, stop_time)
         pop = heappop
         clock_check = _CLOCK_CHECK  # resolved once per run() entry
         now = self._now
+        # A multi-callback dispatch that raised may have left the flag down.
+        self._lone = True
         # The clock lives in the loop-local ``now``; ``self._now`` is only
         # written at points where user code can observe it (process resume,
         # callback dispatch, an escaping exception) and once when the loop
         # ends.  Events with no observers never pay the attribute store.
-        if stop_event is None and stop_time == float("inf"):
+        if stop_event is None and stop_time == _INF:
             while heap:
                 when, _prio, _seq, event = pop(heap)
                 if clock_check and when < now:
@@ -339,8 +318,13 @@ class Environment:
                 if callbacks:
                     self._now = now
                     self._active_event = event
-                    for callback in callbacks:
-                        callback(event)
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._lone = False
+                        for callback in callbacks:
+                            callback(event)
+                        self._lone = True
                     self._active_event = None
                 elif not event._ok and isinstance(event, Process):
                     self._now = now
@@ -369,64 +353,13 @@ class Environment:
             if callbacks:
                 self._now = now
                 self._active_event = event
-                for callback in callbacks:
-                    callback(event)
-                self._active_event = None
-            elif not event._ok and isinstance(event, Process):
-                self._now = now
-                raise event._value
-        self._now = now
-
-        if stop_event is not None:
-            if stop_event._state != PROCESSED:
-                raise SimulationError("run() ended before its `until` event fired")
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if stop_time != float("inf") and self._now < stop_time:
-            self._now = stop_time
-        return None
-
-    def _run_scheduler(self, stop_event: Optional[Event], stop_time: float) -> Any:
-        """Dispatch loop for pluggable schedulers (calendar queue, injected).
-
-        Semantically identical to the heap loops in :meth:`run` — same
-        inclusive ``until`` boundary, same PENDING-placeholder handling, same
-        failed-process surfacing — but driven through the generic
-        ``peek``/``pop`` interface.  ``peek`` purges dead entries, so this
-        loop never dispatches a defused placeholder (the heap loops instead
-        let ``Process._start`` no-op on them; neither path runs user code,
-        keeping the two observationally identical).
-        """
-        sched = self._scheduler
-        clock_check = _CLOCK_CHECK  # resolved once per run() entry
-        now = self._now
-        while True:
-            if stop_event is not None and stop_event._state == 2:
-                break
-            head = sched.peek()
-            if head is None:
-                break
-            if head[0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _prio, _seq, event = sched.pop()
-            if clock_check and when < now:
-                self._now = now
-                raise _clock_violation(now, when)
-            now = when
-            if event._state == 0:
-                self._now = now
-                event._start()
-                continue
-            event._state = 2
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                self._now = now
-                self._active_event = event
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    self._lone = False
+                    for callback in callbacks:
+                        callback(event)
+                    self._lone = True
                 self._active_event = None
             elif not event._ok and isinstance(event, Process):
                 self._now = now

@@ -29,10 +29,11 @@ of the public properties.  A new :class:`Process` consumes one heap entry
 (its own first resume, scheduled directly) and allocates **no**
 initialisation event.
 
-Every direct push site honours the environment's pluggable scheduler: when
-``env._heap`` is ``None`` the entry goes through ``env._scheduler.push``
-instead (see :mod:`repro.sim.calqueue`); the default heap mode pays only a
-single extra ``is None`` test per push.
+A process return goes through :meth:`Event._succeed_in_place`: when the
+returning process is provably the next event the loop would pop, its
+waiters run at once instead of after a heap round trip (the in-place
+dispatch rule of :mod:`repro.sim.core`).  ``step()`` may therefore run the
+waiters of such events within the call that resumed the process.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class Event:
 
     An event carries either a *value* (on success) or an *exception* (on
     failure).  Waiting processes are stored in :attr:`callbacks` and invoked,
-    in registration order, when the environment pops the event off its heap.
+    in registration order, when the environment pops the event off its heap
+    (or dispatches it in place, see :meth:`_succeed_in_place`).
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_state")
@@ -122,11 +124,7 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, priority, seq, self))
-        else:
-            heappush(heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -140,19 +138,43 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, priority, seq, self))
-        else:
-            heappush(heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
     # -- internal -----------------------------------------------------------
-    def _mark_processed(self) -> list[Callable[["Event"], None]]:
-        """Flip to PROCESSED and detach the callback list (kernel use only)."""
-        self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks or [], None
-        return callbacks
+    def _succeed_in_place(self, value: Any = None) -> None:
+        """Succeed as the last action of the running callback (kernel use).
+
+        When nothing is queued at the current instant and the loop is running
+        a lone callback (``env._lone``), this event is provably the next one
+        the loop would pop, so its waiters run here and now, and it takes no
+        sequence number.  Otherwise it is queued exactly like
+        :meth:`succeed`.  Callers guarantee the "last action" part: nothing
+        may happen in the running callback after this call.
+        """
+        env = self.env
+        heap = env._heap
+        if env._lone and (not heap or heap[0][0] > env._now):
+            self._value = value
+            self._state = PROCESSED
+            callbacks = self.callbacks
+            self.callbacks = None
+            if callbacks:
+                outer = env._active_event
+                env._active_event = self
+                if len(callbacks) == 1:
+                    callbacks[0](self)
+                else:
+                    env._lone = False
+                    for callback in callbacks:
+                        callback(self)
+                    env._lone = True
+                env._active_event = outer
+            return
+        self._value = value
+        self._state = TRIGGERED
+        env._seq = seq = env._seq + 1
+        heappush(heap, (env._now, NORMAL, seq, self))
 
 
 class Timeout(Event):
@@ -177,11 +199,7 @@ class Timeout(Event):
         self._state = TRIGGERED
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now + delay, NORMAL, seq, self))
-        else:
-            heappush(heap, (env._now + delay, NORMAL, seq, self))
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
 
 
 class _InitSentinel:
@@ -229,11 +247,7 @@ class Process(Event):
         # sequence-number consumption matches the old init-event scheme
         # exactly, so same-seed event ordering is unchanged.
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, URGENT, seq, self))
-        else:
-            heappush(heap, (env._now, URGENT, seq, self))
+        heappush(env._heap, (env._now, URGENT, seq, self))
 
     @property
     def is_alive(self) -> bool:
@@ -286,19 +300,14 @@ class Process(Event):
         wakeup._state = TRIGGERED
         wakeup.callbacks.append(self._resume)
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, URGENT, seq, wakeup))
-        else:
-            heappush(heap, (env._now, URGENT, seq, wakeup))
+        heappush(env._heap, (env._now, URGENT, seq, wakeup))
 
     # -- internal -----------------------------------------------------------
     def _start(self) -> None:
         """First resume, invoked by the kernel's dispatch loop."""
         if self._defused:
             # The dead placeholder just left the queue: settle the lazy-
-            # deletion ledger (calendar-queue purges go through on_purge
-            # instead and never reach here).
+            # deletion ledger.
             self.env._dead -= 1
         else:
             self._resume(_INIT)
@@ -321,11 +330,8 @@ class Process(Event):
                 else:
                     next_event = gen.throw(value)
             except StopIteration as stop:
-                self._target = None
-                env._active_proc = None
-                if self._state == PENDING:
-                    self.succeed(stop.value)
-                return
+                value = stop.value
+                break
             except BaseException as err:
                 self._target = None
                 env._active_proc = None
@@ -367,6 +373,14 @@ class Process(Event):
             if self._state == PENDING:
                 self.fail(error)
             return
+
+        # The generator returned.  Outside the ``except`` block, so waiters
+        # dispatched in place do not run with the StopIteration as context.
+        self._target = None
+        env._active_proc = None
+        if self._state == PENDING:
+            # The return is this callback's last action.
+            self._succeed_in_place(value)
 
 
 class Condition(Event):

@@ -18,6 +18,26 @@ processor sharing: all active jobs accrue virtual work at the same rate, so a
 job submitted when the accrued virtual work was ``V0`` completes when the
 accrued work reaches ``V0 + work``.  Completion order is then a priority
 queue on that threshold, and every arrival/departure costs ``O(log n)``.
+
+Performance notes
+-----------------
+Every arrival and departure re-arms the completion timer, so the timer and
+the per-membership-change arithmetic are on the simulation's hot path:
+
+* The timer is a slotted :class:`_Timer` heap entry with the usual
+  ``(when, NORMAL, seq)`` key.  The loop dispatches it through the
+  first-resume path (it is ``PENDING``), so no :class:`Event`, callback
+  list or closure is allocated per timer.  A timer that is no longer the
+  processor's current one has been superseded and does nothing.
+* When a timer completes exactly one job, the job's event is dispatched in
+  place (see "In-place dispatch" in :mod:`repro.sim.core`): the timer
+  callback ends with that trigger.
+* The coefficients that depend only on the job count — ``phi(n)``, the
+  degraded ``phi(n)*slowdown``, the rate, the utilisation gauge and the
+  efficiency — are cached per job count and cleared by
+  :meth:`ContentionProcessor.set_slowdown`.  Each is evaluated by the same
+  expression, in the same operand order, as the uncached arithmetic, so
+  caching changes no float.
 """
 
 from __future__ import annotations
@@ -26,12 +46,33 @@ import heapq
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 _EPS = 1e-12
+
+
+class _Timer:
+    """A processor's completion timer on the event heap.
+
+    ``PENDING`` so the loop dispatches it through the first-resume path
+    (``_start``); it fires only while it is still the processor's current
+    timer — a later arrival or departure supersedes it.
+    """
+
+    __slots__ = ("cpu",)
+    _state = PENDING
+    _defused = False
+
+    def __init__(self, cpu: "ContentionProcessor") -> None:
+        self.cpu = cpu
+
+    def _start(self) -> None:
+        cpu = self.cpu
+        if cpu._timer is self:
+            cpu._on_timer()
 
 
 class ContentionProcessor:
@@ -69,11 +110,14 @@ class ContentionProcessor:
         self._last_update = env.now  # last wall-clock at which _virtual advanced
         self._jobs: list[tuple[float, int, Event]] = []  # (threshold, seq, done)
         self._seq = 0
-        self._timer_generation = 0
+        #: The armed completion timer (``None`` while idle).
+        self._timer: Optional[_Timer] = None
         # Degradation multiplier on the effective inflation (SlowNode fault).
         # Exactly 1.0 multiplies through without changing any float (IEEE
         # guarantees x*1.0 == x), so the healthy path stays bit-identical.
         self._slowdown = 1.0
+        #: job count -> (phi, phi*slowdown, rate, util gauge, efficiency)
+        self._coef: dict[int, tuple[float, float, float, float, float]] = {}
 
         # Monitoring accumulators.
         self._util_integral = 0.0    # integral of min(1, n/n_peak) dt
@@ -109,6 +153,16 @@ class ContentionProcessor:
     def peak_concurrency(self) -> int:
         """Concurrency level at which the aggregate rate peaks."""
         return self._peak_concurrency
+
+    def _coefficients(self, n: int) -> tuple[float, float, float, float, float]:
+        """Per-job-count coefficients of :meth:`_advance` / :meth:`_reschedule`."""
+        phi = self.phi(n)
+        phi_s = phi * self._slowdown
+        rate = n / phi_s
+        util = min(1.0, max(rate / self._peak_rate, n / self._peak_concurrency))
+        coef = (phi, phi_s, rate, util, rate / self._peak_rate)
+        self._coef[n] = coef
+        return coef
 
     def _find_peak(self, limit: int) -> tuple[float, int]:
         best, best_n = 0.0, 1
@@ -189,6 +243,7 @@ class ContentionProcessor:
             raise SimulationError(f"slowdown factor must be >= 1.0, got {factor}")
         self._advance()
         self._slowdown = float(factor)
+        self._coef.clear()
         self._reschedule()
 
     # -- job submission ---------------------------------------------------------
@@ -214,50 +269,51 @@ class ContentionProcessor:
     # -- internals ----------------------------------------------------------------
     def _advance(self) -> None:
         """Accrue virtual work and monitoring integrals up to ``env.now``."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
+        self._last_update = now
         if dt <= 0.0:
-            self._last_update = now
             return
         n = len(self._jobs)
         if n:
-            phi = self.phi(n) * self._slowdown
-            self._virtual += dt / phi
-            rate = n / phi
-            self._util_integral += dt * min(
-                1.0, max(rate / self._peak_rate, n / self._peak_concurrency)
-            )
-            self._eff_integral += dt * (rate / self._peak_rate)
+            coef = self._coef.get(n) or self._coefficients(n)
+            self._virtual += dt / coef[1]
+            self._util_integral += dt * coef[3]
+            self._eff_integral += dt * coef[4]
             self._busy_integral += dt * n
             self._nonidle_integral += dt
-            self._work_done += dt * rate
-        self._last_update = now
+            self._work_done += dt * coef[2]
 
     def _reschedule(self) -> None:
         """(Re)arm the completion timer for the earliest-finishing job."""
-        self._timer_generation += 1
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
+            self._timer = None
             return
-        generation = self._timer_generation
-        threshold = self._jobs[0][0]
-        n = len(self._jobs)
-        delay = max(0.0, (threshold - self._virtual) * self.phi(n) * self._slowdown)
-        timer = Event(self.env)
-        timer._ok = True
-        timer._state = 1  # TRIGGERED
-        timer.callbacks.append(lambda _ev, gen=generation: self._on_timer(gen))
-        self.env.schedule(timer, delay=delay)
+        n = len(jobs)
+        coef = self._coef.get(n) or self._coefficients(n)
+        delay = (jobs[0][0] - self._virtual) * coef[0] * self._slowdown
+        if not delay > 0.0:  # max(0.0, delay), without the call
+            delay = 0.0
+        self._timer = timer = _Timer(self)
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heapq.heappush(env._heap, (env._now + delay, NORMAL, seq, timer))
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
-            return  # superseded by a later arrival/departure
+    def _on_timer(self) -> None:
         self._advance()
+        virtual = self._virtual
+        tolerance = _EPS * (virtual if virtual > 1.0 else 1.0) * 1e3
+        limit = virtual + tolerance
+        jobs = self._jobs
         completed: list[Event] = []
-        tolerance = _EPS * max(1.0, abs(self._virtual)) * 1e3
-        while self._jobs and self._jobs[0][0] <= self._virtual + tolerance:
-            _thr, _seq, done = heapq.heappop(self._jobs)
-            completed.append(done)
+        while jobs and jobs[0][0] <= limit:
+            completed.append(heapq.heappop(jobs)[2])
         self._completions += len(completed)
         self._reschedule()
-        for done in completed:
-            done.succeed()
+        if len(completed) == 1:
+            # The lone completion is this timer's last action.
+            completed[0]._succeed_in_place()
+        else:
+            for done in completed:
+                done.succeed()

@@ -6,6 +6,12 @@ changed *at runtime* (the key requirement for the paper's APP-agent, which
 resizes pools on the fly).  Growing the capacity immediately admits queued
 waiters; shrinking takes effect lazily as in-flight holders release — exactly
 how Tomcat's ``maxThreads`` behaves when lowered on a live server.
+
+:meth:`Resource.claim` is the pool-checkout fast path: a caller that yields
+the acquisition at once gets a free slot granted *in place* — no grant
+event goes through the heap and the caller continues without yielding —
+whenever the grant would have been the next event dispatched anyway (the
+in-place dispatch rule of :mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from repro.check import config as _checks
 from repro.errors import ConfigurationError, InvariantViolation, SimulationError
-from repro.sim.events import PENDING, Event
+from repro.sim.events import PENDING, PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
@@ -154,6 +160,28 @@ class Resource:
             self._queue.append(req)
         return req
 
+    def claim(self) -> Acquire:
+        """Request one slot for a caller that yields the result at once.
+
+        When a slot is free, nothing is queued at the current instant and
+        the loop is running a lone callback, the grant would be the next
+        event dispatched and its only waiter the caller: the slot is granted
+        in place and the returned acquisition is already processed
+        (``callbacks is None``), so the caller continues without yielding.
+        Otherwise this is :meth:`acquire`.
+        """
+        env = self.env
+        heap = env._heap
+        if (self._in_use < self._capacity and env._lone
+                and (not heap or heap[0][0] > env._now)):
+            req = Acquire(env, self)
+            self._take(req)
+            req._value = req
+            req._state = PROCESSED
+            req.callbacks = None
+            return req
+        return self.acquire()
+
     def release(self, req: Acquire) -> None:
         """Return the slot held by ``req`` and admit the next waiter."""
         if not req.granted:
@@ -196,6 +224,11 @@ class Resource:
 
     # -- internals ----------------------------------------------------------
     def _grant(self, req: Acquire) -> None:
+        self._take(req)
+        req.succeed(req)
+
+    def _take(self, req: Acquire) -> None:
+        """Book one slot for ``req`` (the accounting half of a grant)."""
         now = self.env._now
         self._occupancy_integral += self._in_use * (now - self._last_change)
         self._last_change = now
@@ -208,7 +241,6 @@ class Resource:
                 f"granted slot #{in_use} with capacity {self._capacity}",
             )
         req.granted = True
-        req.succeed(req)
 
     def _admit(self) -> None:
         while self._queue and self._in_use < self._capacity:

@@ -161,7 +161,7 @@ class TestDeploymentIntegration:
         spec = ScenarioSpec(
             seed=3, workload="batched-trace", max_users=40,
             trace=sine_trace(20.0, 10.0, 0.2, 0.8), duration=20.0,
-            scheduler="calendar", batches=4, think_time=1.0,
+            batches=4, think_time=1.0,
         )
         with Deployment(spec) as dep:
             dep.run()

@@ -25,9 +25,10 @@ def tiny_suite(monkeypatch):
     })
     monkeypatch.setattr(suite, "REPS", (1, 1))
     monkeypatch.setattr(suite, "CALIBRATION_OPS", (10_000, 10_000))
-    monkeypatch.setattr(kernel, "bench_fig5", lambda quick: (1_000, 0.01))
-    monkeypatch.setattr(kernel, "bench_fig5_100k", lambda: (2_000, 0.01))
-    monkeypatch.setattr(kernel, "bench_fig5_1m", lambda: (20_000, 0.1))
+    # End-to-end rows: (completed requests, seconds, kernel events).
+    monkeypatch.setattr(kernel, "bench_fig5", lambda quick: (1_000, 0.01, 15_000))
+    monkeypatch.setattr(kernel, "bench_fig5_100k", lambda: (2_000, 0.01, 44_000))
+    monkeypatch.setattr(kernel, "bench_fig5_1m", lambda: (20_000, 0.1, 440_000))
 
 
 def _report(normalized, throughput=1_000_000.0, scale_normalized=None):
@@ -59,6 +60,20 @@ class TestRunSuite:
         assert set(report["scale"]) == {"fig5-100k", "fig5-1m"}
         assert report["scale"]["fig5-1m"]["ops"] == 20_000
 
+    def test_end_to_end_rows_count_requests_and_report_events(self, tiny_suite):
+        report = suite.run_suite(quick=True)
+        fig5 = report["suites"]["disarmed"]["fig5-autoscale"]
+        assert fig5["ops"] == 1_000 and fig5["events_per_req"] == 15.0
+        scale = report["scale"]["fig5-100k"]
+        assert scale["ops_per_sec"] == pytest.approx(2_000 / 0.01)
+        assert scale["events_per_req"] == 22.0
+        # The gated scale headline is a request rate, not an event rate.
+        assert report["headline"]["scale_normalized"] == pytest.approx(
+            scale["ops_per_sec"] / (report["calibration_mops"] * 1e6), rel=1e-3)
+        # Micro rows count kernel operations and carry no per-request figure.
+        assert "events_per_req" not in report["suites"]["disarmed"]["event-dispatch"]
+        assert "events/req" in suite.render_report(report)
+
     def test_render_mentions_every_scenario(self, tiny_suite):
         text = suite.render_report(suite.run_suite(quick=True))
         for name in SCENARIOS:
@@ -74,6 +89,13 @@ class TestRunSuite:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "something-else/9"}')
         with pytest.raises(ConfigurationError):
+            suite.load_report(str(path))
+
+    def test_load_rejects_v2_with_a_rerecord_hint(self, tmp_path):
+        # v2 end-to-end rows counted kernel events: not comparable.
+        path = tmp_path / "old.json"
+        path.write_text('{"schema": "repro-bench-kernel/2", "headline": {}}')
+        with pytest.raises(ConfigurationError, match="re-record"):
             suite.load_report(str(path))
 
 

@@ -179,6 +179,12 @@ class TestSpecs:
         # Stability: a second encode of the decoded spec is byte-identical.
         assert back.to_json() == spec.to_json()
 
+    def test_autoscale_spec_ignores_retired_scheduler_field(self):
+        spec = tiny_autoscale_spec()
+        obj = spec.to_json_obj()
+        obj["scheduler"] = "calendar"
+        assert spec_from_json(json.dumps(obj)) == spec
+
     def test_cache_key_changes_with_seed(self):
         a = SweepSpec(users_levels=(5,), seed=1)
         b = SweepSpec(users_levels=(5,), seed=2)

@@ -102,6 +102,17 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigurationError, match="kind"):
             ScenarioSpec.from_json_obj(obj)
 
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_retired_scheduler_field_is_accepted_and_ignored(self, scheduler):
+        # Payloads written while the kernel had a second event queue carry
+        # a "scheduler" key; there is one heap now and order never
+        # depended on the choice, so old payloads load as the same spec.
+        spec = rich_spec()
+        obj = spec.to_json_obj()
+        assert "scheduler" not in obj
+        obj["scheduler"] = scheduler
+        assert ScenarioSpec.from_json_obj(obj) == spec
+
     def test_duration_falls_back_to_trace_length(self):
         spec = rich_spec()
         assert spec.effective_duration() == spec.trace.duration
