@@ -1,223 +1,170 @@
-"""Unit tests for the calendar-queue scheduler and its kernel plumbing.
+"""Ordering and lazy-deletion contract of the kernel's pending-event queue.
 
-Covers the :class:`repro.sim.calqueue.CalendarQueue` structure in
-isolation (ordering, adaptive resizing, lazy deletion, the sparse-year
-direct-search fallback) and the ``Environment(scheduler=...)`` selection
-surface.  Full heap-vs-calendar behavioural equivalence lives in
-``tests/test_scheduler_equivalence.py``.
+The binary event heap of :class:`repro.sim.Environment` must dispatch
+entries in global ``(when, priority, seq)`` order — earliest time first,
+then ``URGENT`` before ``NORMAL``, then scheduling order — and must purge
+defused first-resume placeholders (lazy deletion) without reporting them
+as pending work.  Everything here goes through the kernel's own API
+(``timeout``/``schedule``/``process``/``interrupt``, ``peek``/``step``/
+``run``), so in-place dispatch is exercised alongside the heap.
+
+The module and class names are kept from the tests that pinned this same
+contract on the calendar-queue scheduler, which has since been removed;
+its resizing and sparse-year cases went with it.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SCHEDULERS, CalendarQueue, Environment
-from repro.sim.calqueue import MIN_WIDTH
+from repro.sim import Environment, Event, Interrupt
+from repro.sim.events import NORMAL, TRIGGERED, URGENT
 
 
-class _Stub:
-    """Stands in for a kernel event: only ``_state``/``_defused`` matter."""
-
-    __slots__ = ("_state", "_defused")
-
-    def __init__(self, state=1, defused=False):
-        self._state = state
-        self._defused = defused
-
-
-def _entry(when, seq, event=None, prio=1):
-    return (when, prio, seq, event if event is not None else _Stub())
-
-
-def _drain(queue):
-    out = []
-    while queue:
-        out.append(queue.pop())
-    return out
+def _scheduled(env, log, tag, delay, priority=NORMAL):
+    """Queue a triggered event that logs ``(now, tag)`` when dispatched."""
+    event = Event(env)
+    event._state = TRIGGERED
+    event.callbacks.append(lambda _ev: log.append((env.now, tag)))
+    env.schedule(event, delay=delay, priority=priority)
 
 
 class TestOrdering:
     def test_pops_in_global_tuple_order(self):
+        # Delays on a 0.5 s grid force many time ties, so the priority and
+        # seq components of the key decide a large share of the order.
         rng = random.Random(42)
-        queue = CalendarQueue()
-        entries = [_entry(rng.uniform(0.0, 50.0), seq) for seq in range(500)]
-        for entry in entries:
-            queue.push(entry)
-        assert _drain(queue) == sorted(entries)
+        env = Environment()
+        fired, expected = [], []
+        for seq in range(500):
+            delay = rng.randint(0, 20) * 0.5
+            priority = rng.choice((URGENT, NORMAL))
+            _scheduled(env, fired, seq, delay, priority)
+            expected.append((delay, priority, seq))
+        env.run()
+        assert fired == [(when, seq) for when, _prio, seq in sorted(expected)]
 
     def test_ties_break_on_priority_then_seq(self):
-        queue = CalendarQueue()
-        urgent = _entry(1.0, 7, prio=0)
-        first = _entry(1.0, 3)
-        second = _entry(1.0, 5)
-        for entry in (second, urgent, first):
-            queue.push(entry)
-        assert _drain(queue) == [urgent, first, second]
+        env = Environment()
+        fired = []
+        _scheduled(env, fired, "first", 1.0)
+        _scheduled(env, fired, "urgent", 1.0, URGENT)
+        _scheduled(env, fired, "second", 1.0)
+        _scheduled(env, fired, "earlier", 0.5)
+        env.run()
+        assert [tag for _when, tag in fired] == ["earlier", "urgent",
+                                                 "first", "second"]
 
     def test_peek_matches_pop_and_is_non_destructive(self):
-        queue = CalendarQueue()
-        entries = [_entry(float(w), seq) for seq, w in enumerate((4, 1, 9))]
-        for entry in entries:
-            queue.push(entry)
-        head = queue.peek()
-        assert head == queue.peek() == queue.pop()
-        assert head[0] == 1.0
-        assert len(queue) == 2
+        env = Environment()
+        fired = []
+        for tag, delay in enumerate((4.0, 1.0, 9.0)):
+            env.timeout(delay).callbacks.append(
+                lambda _ev, tag=tag: fired.append(tag))
+        head = env.peek()
+        assert head == env.peek() == 1.0
+        assert env.queue_size == 3
+        assert env.now == 0.0  # peeking never advances the clock
+        env.step()
+        assert env.now == head
+        assert fired == [1]
+        assert env.queue_size == 2
+        assert env.peek() == 4.0
 
     def test_empty_queue(self):
-        queue = CalendarQueue()
-        assert len(queue) == 0
-        assert not queue
-        assert queue.peek() is None
-        with pytest.raises(IndexError):
-            queue.pop()
+        env = Environment()
+        assert env.queue_size == 0
+        assert env.peek() == math.inf
+        with pytest.raises(SimulationError):
+            env.step()
+        assert env.run() is None
+        assert env.now == 0.0
 
     def test_interleaved_push_pop_stays_sorted(self):
         rng = random.Random(7)
-        queue = CalendarQueue()
-        seq = 0
-        last = (0.0,)
+        env = Environment()
+        fired = []
         for _ in range(2000):
-            if queue and rng.random() < 0.45:
-                entry = queue.pop()
-                assert entry[:1] >= last[:1]
-                last = entry
+            if env.queue_size and rng.random() < 0.45:
+                before = env.now
+                env.step()
+                assert env.now >= before
             else:
-                # Never push into the past of the last popped time.
-                queue.push(_entry(last[0] + rng.uniform(0.0, 10.0), seq))
-                seq += 1
-        rest = _drain(queue)
-        assert rest == sorted(rest)
-        assert all(entry[0] >= last[0] for entry in rest)
+                # Timeouts are relative to now: never into the past.
+                env.timeout(rng.uniform(0.0, 10.0)).callbacks.append(
+                    lambda _ev: fired.append(env.now))
+        stepped = len(fired)
+        assert stepped > 0
+        last = fired[-1]
+        env.run()
+        assert fired == sorted(fired)
+        assert all(when >= last for when in fired[stepped:])
+        assert env.queue_size == 0
 
 
-class TestResizing:
-    def test_grows_past_two_per_bucket(self):
-        queue = CalendarQueue(bucket_count=8)
-        for seq in range(40):
-            queue.push(_entry(seq * 0.5, seq))
-        assert queue.bucket_count > 8
+def _spawn(env, started):
+    """A process whose body logs its start time; its failure is observed."""
+    def body(env):
+        started.append(env.now)
+        yield env.timeout(100.0)
 
-    def test_shrinks_back_but_not_below_initial(self):
-        queue = CalendarQueue(bucket_count=8)
-        entries = [_entry(seq * 0.5, seq) for seq in range(100)]
-        for entry in entries:
-            queue.push(entry)
-        grown = queue.bucket_count
-        assert _drain(queue) == entries
-        assert queue.bucket_count < grown
-        assert queue.bucket_count >= 8
-
-    def test_width_tracks_event_spacing(self):
-        # Entries 2.0s apart: the resize estimate is 3 * mean gap = 6.0.
-        queue = CalendarQueue(bucket_count=4, bucket_width=1000.0)
-        for seq in range(20):
-            queue.push(_entry(seq * 2.0, seq))
-        assert queue.bucket_width == pytest.approx(6.0)
-
-    def test_simultaneous_events_keep_width_positive(self):
-        # No spacing signal at all: the calendar must not collapse to zero
-        # width (which would put every event in bucket 0 forever).
-        queue = CalendarQueue(bucket_count=2, bucket_width=5.0)
-        entries = [_entry(1.0, seq) for seq in range(50)]
-        for entry in entries:
-            queue.push(entry)
-        assert queue.bucket_width >= MIN_WIDTH
-        assert _drain(queue) == entries
-
-    def test_constructor_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_count=0)
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width=0.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width=-1.0)
+    proc = env.process(body(env))
+    proc.callbacks.append(lambda _ev: None)  # observe an Interrupt failure
+    return proc
 
 
 class TestLazyDeletion:
     def test_dead_heads_are_purged_and_reported(self):
-        purged = []
-        queue = CalendarQueue(on_purge=purged.append)
-        dead = [_entry(float(w), seq, _Stub(state=0, defused=True))
-                for seq, w in enumerate((1, 2))]
-        live = _entry(3.0, 9)
-        for entry in dead + [live]:
-            queue.push(entry)
-        assert queue.peek() == live
-        assert purged == dead
-        assert len(queue) == 1
+        env = Environment()
+        started = []
+        procs = [_spawn(env, started) for _ in range(2)]
+        for proc in procs:
+            proc.interrupt("die")  # defuses both queued first resumes
+        env.timeout(3.0)
+        # Two dead placeholders head the heap, ahead of the two interrupt
+        # deliveries and the timeout.
+        assert len(env._heap) == 5
+        assert env._dead == 2
+        assert env.queue_size == 3
+        assert env.peek() == 0.0  # the first interrupt delivery
+        assert env._dead == 0     # each purge settled the dead count
+        assert len(env._heap) == env.queue_size == 3
+        env.run()
+        assert started == []
+        for proc in procs:
+            assert not proc.ok
+            assert isinstance(proc.value, Interrupt)
+            assert proc.value.cause == "die"
 
     def test_pending_but_not_defused_is_live(self):
         # A PENDING placeholder whose process was *not* interrupted must
-        # still be dispatched.
-        queue = CalendarQueue()
-        placeholder = _entry(1.0, 1, _Stub(state=0, defused=False))
-        queue.push(placeholder)
-        assert queue.peek() == placeholder
+        # still be dispatched, even next to a defused sibling.
+        env = Environment()
+        started = []
+        live = _spawn(env, started)
+        dead = _spawn(env, started)
+        dead.interrupt("die")
+        assert env._dead == 1
+        assert env.queue_size == 2  # the live placeholder + the delivery
+        assert env.peek() == 0.0
+        assert len(env._heap) == 3  # the head is live: nothing purged
+        env.step()
+        assert started == [0.0]
+        assert live.is_alive
 
     def test_all_dead_drains_to_empty(self):
-        purged = []
-        queue = CalendarQueue(on_purge=purged.append)
-        for seq in range(5):
-            queue.push(_entry(float(seq), seq, _Stub(state=0, defused=True)))
-        assert queue.peek() is None
-        assert len(queue) == 0
-        assert len(purged) == 5
-
-
-class TestSparseFallback:
-    def test_entry_beyond_one_year_is_found(self):
-        # Year = 8 buckets * 1.0s = 8s; an entry at t=1000 belongs to no
-        # bucket of the current year, so the scan must fall back to a direct
-        # search instead of returning nothing (or a wrong head).
-        queue = CalendarQueue(bucket_count=8, bucket_width=1.0)
-        far = _entry(1000.0, 1)
-        farther = _entry(2500.25, 2)
-        queue.push(farther)
-        queue.push(far)
-        assert queue.pop() == far
-        assert queue.pop() == farther
-
-    def test_year_scan_does_not_return_next_years_event(self):
-        # Bucket 3 holds events at t=3 and (next year) t=11; after t=3 pops,
-        # the head of bucket 3 is out-of-year and an in-year event at t=5
-        # must win despite living in a later bucket.
-        queue = CalendarQueue(bucket_count=8, bucket_width=1.0)
-        first = _entry(3.0, 1)
-        wrap = _entry(11.0, 2)   # 11 % 8 -> bucket 3, *next* year
-        inyear = _entry(5.0, 3)
-        for entry in (first, wrap, inyear):
-            queue.push(entry)
-        assert _drain(queue) == [first, inyear, wrap]
-
-
-class TestEnvironmentPlumbing:
-    def test_scheduler_registry(self):
-        assert SCHEDULERS == ("heap", "calendar")
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError):
-            Environment(scheduler="fibonacci")
-
-    def test_calendar_runs_a_simple_process(self):
-        env = Environment(scheduler="calendar")
-        ticks = []
-
-        def ticker(env):
-            for _ in range(5):
-                yield env.timeout(1.5)
-                ticks.append(env.now)
-
-        env.process(ticker(env))
-        env.run()
-        assert ticks == [1.5, 3.0, 4.5, 6.0, 7.5]
-
-    def test_duck_typed_scheduler_instance_accepted(self):
-        queue = CalendarQueue(bucket_count=4)
-        env = Environment(scheduler=queue)
-        assert queue.on_purge is not None  # wired to the environment
-        fired = []
-        env.timeout(2.0).callbacks.append(lambda ev: fired.append(env.now))
-        env.run()
-        assert fired == [2.0]
+        env = Environment()
+        started = []
+        procs = [_spawn(env, started) for _ in range(5)]
+        for proc in procs:
+            proc.interrupt("die")
+        assert env._dead == 5
+        while env.peek() < math.inf:
+            env.step()
+        assert len(env._heap) == 0  # no dead entry outlives the drain
+        assert env._dead == 0
+        assert env.queue_size == 0
+        assert started == []
+        assert all(not proc.is_alive for proc in procs)

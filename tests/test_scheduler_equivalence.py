@@ -1,56 +1,80 @@
-"""Heap vs calendar-queue schedulers must be observationally identical.
+"""In-place dispatch must be observationally identical to queueing.
 
-The calendar queue (``repro.sim.calqueue``) pops entries in the exact
-tuple order the binary heap does, so *any* same-seed run — not just
-statistically similar, but bit-for-bit — must produce the same trace
-under either scheduler.  Pinned here three ways:
+An event dispatched in place skips the heap round trip and takes no
+sequence number, but it must run its waiters exactly when the loop would
+have popped it.  Any same-seed run therefore reproduces, bit for bit, the
+trace of the kernel that sent every event through the heap.  The digests
+below were recorded on that kernel, where the binary heap and the former
+calendar-queue scheduler also agreed on them, and are pinned two ways:
 
-* a randomized kernel stress mixing timeouts across five orders of
-  magnitude of time scale with same-step interrupts (the lazy-deletion
-  path);
-* the Fig-5 golden digest of ``tests/test_kernel_digest.py`` reproduced
-  under ``scheduler="calendar"``;
-* a full scenario deployment compared digest-for-digest (the same check
-  the ``scheduler_equivalence`` audit property fuzzes).
+* a randomized kernel stress mixing timeouts across six orders of
+  magnitude of time scale, zero-delay ties, same-step interrupts (the
+  lazy-deletion path) and processes joining earlier ones, several on one
+  process (returns dispatched in place, or queued behind a tie);
+* a batched-population scenario deployment, digest of its request log.
+
+The Fig-5 golden digest of ``tests/test_kernel_digest.py`` pins the same
+property on the autoscale scenario.  The module and class names are kept
+from the heap-vs-calendar comparison these checks grew out of.
 """
 
 import hashlib
 import json
-from dataclasses import replace
+import random
 
-from repro.check import config as check_config
-from repro.perf import autoscale_digest, run_fig5
-from repro.perf.kernel import fig5_scenario
 from repro.scenario import Deployment, ScenarioSpec
 from repro.sim import Environment
-from tests.test_kernel_digest import GOLDEN
+
+#: sha256 of ``json.dumps(_stress_trace(seed))`` per seed.
+STRESS_GOLDEN = {
+    0: "38345b20611717226d70cdd2d35bfc8db9165efffdc0e2d65f7c5b726b1fdf11",
+    1: "4acf7f275e49e815651dd6474bf53e763c0927cc8f939c27721dd50a59952d0c",
+    2: "1786e4d466a805cecb340b6a037a1b06317c3277e5507ec4ec6bae600dd99b59",
+}
+
+#: sha256 of the batched scenario's canonical request-log JSON.
+BATCHED_GOLDEN = (
+    "3daeefe495ce52b63342515204f19e6f3330a4b36c9fefdfb729b6bc5bc4b70d"
+)
 
 
-def _stress_trace(scheduler: str, seed: int) -> list:
-    """A workload built to shake out ordering bugs: timeouts spanning
-    1e-3..1e3 seconds (exercises bucket-width adaptation and the sparse
-    fallback) plus same-step interrupts (exercises lazy deletion)."""
-    import random
+def _stress_trace(seed: int) -> list:
+    """A workload built to shake out ordering bugs.  One RNG feeds every
+    process, so any reordering also changes the draws that follow it.
 
+    Workers sleep on timeouts spanning 1e-3..1e3 seconds, three in ten of
+    them zero-delay (same-instant ties).  Most join an earlier worker of
+    their round first, several often the same one, and some return right
+    after joining: the two-waiters case the in-place rule must not reorder.
+    The sequence counter is not part of the trace: events dispatched in
+    place take none, so it differs from the queueing kernel by design.
+    """
     rng = random.Random(seed)
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     trace = []
 
-    def worker(env, wid):
+    def worker(env, wid, joined):
         try:
-            for i in range(rng.randint(1, 6)):
+            if joined is not None:
+                value = yield joined
+                trace.append((round(env.now, 9), wid, "joined", value))
+            for i in range(rng.randint(0, 5)):
                 scale = 10.0 ** rng.randint(-3, 3)
-                yield env.timeout(rng.uniform(0.0, scale))
+                delay = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, scale)
+                yield env.timeout(delay)
                 trace.append((round(env.now, 9), wid, i))
-        except BaseException as exc:  # Interrupt
+        except BaseException as exc:  # Interrupt, or a joined worker's
             trace.append((round(env.now, 9), wid, repr(exc)))
             raise
+        return wid
 
     def chaos(env):
         for round_no in range(40):
             procs = []
             for k in range(5):
-                proc = env.process(worker(env, (round_no, k)))
+                joined = (rng.choice(procs)
+                          if procs and rng.random() < 0.6 else None)
+                proc = env.process(worker(env, (round_no, k), joined))
                 # Observe failures so interrupted workers don't surface
                 # their Interrupt out of run().
                 proc.callbacks.append(lambda ev: None)
@@ -62,26 +86,20 @@ def _stress_trace(scheduler: str, seed: int) -> list:
 
     env.process(chaos(env))
     env.run()
-    trace.append(("end", env.now, env._seq))
+    trace.append(("end", env.now))
     return trace
 
 
 class TestKernelStressEquivalence:
     def test_traces_bit_identical(self):
-        for seed in (0, 1, 2):
-            assert _stress_trace("heap", seed) == _stress_trace("calendar", seed)
+        for seed, golden in STRESS_GOLDEN.items():
+            trace = json.dumps(_stress_trace(seed))
+            assert hashlib.sha256(trace.encode("utf-8")).hexdigest() == golden
 
 
-class TestGoldenDigestUnderCalendar:
-    def test_fig5_digest_matches_heap_golden(self):
-        spec = replace(fig5_scenario(), scheduler="calendar")
-        with check_config.override(False):
-            assert autoscale_digest(run_fig5(spec)) == GOLDEN
-
-
-def _scenario_digest(scheduler: str) -> str:
+def _scenario_digest() -> str:
     spec = ScenarioSpec(seed=5, users=25, duration=8.0, workload="batched",
-                        batches=3, scheduler=scheduler)
+                        batches=3)
     with Deployment(spec) as dep:
         dep.run()
     log = json.dumps(dep.system.request_log, sort_keys=True,
@@ -91,4 +109,4 @@ def _scenario_digest(scheduler: str) -> str:
 
 class TestScenarioEquivalence:
     def test_batched_scenario_digests_match(self):
-        assert _scenario_digest("heap") == _scenario_digest("calendar")
+        assert _scenario_digest() == BATCHED_GOLDEN
