@@ -2,13 +2,13 @@
 
 Each function is the *body* of one historical ``bench_*.py`` harness:
 it receives the executed spec values via an
-:class:`~repro.lab.analyses.AnalysisContext` (runner-spec values in
-entry order; scenario specs as
-:class:`~repro.lab.analyses.ScenarioOutcome`), renders exactly the text
-the harness used to ``emit``, asserts the paper's qualitative shape, and
-returns the artifact payload.  The spec constants live next to the
-analyses (single source of truth); :mod:`benchmarks.make_suite` turns
-them into the committed ``benchmarks/suite.json``.
+:class:`~repro.lab.analyses.AnalysisContext` (in entry order: a
+:class:`~repro.runner.SteadyResult` per steady-state point, the stopped
+:class:`~repro.scenario.Deployment` per full run), renders exactly the
+text the harness used to ``emit``, asserts the paper's qualitative shape,
+and returns the artifact payload.  The spec builders live next to the
+analyses (single source of truth); :mod:`benchmarks.suite` names them as
+the lab experiments of the committed suite.
 
 Byte-identity contract: the ``text`` these functions return is written to
 ``benchmarks/out/<name>.txt`` by the lab executor with the same trailing
@@ -37,11 +37,13 @@ from repro.ntier.contention import (
     ContentionModel,
 )
 from repro.runner import (
-    AutoscaleSpec,
-    SteadySpec,
-    StressSpec,
-    TrainingSpec,
-    ValidationSpec,
+    DB_TRAINING_LEVELS,
+    TRAINING_LEVELS,
+    stress_sweep,
+    training_outcome,
+    training_specs,
+    validation_curves,
+    validation_specs,
 )
 from repro.scenario import ScenarioSpec
 from repro.workload import large_variation, sine_trace
@@ -50,16 +52,23 @@ from repro.workload import large_variation, sine_trace
 # Fig 2(a): MySQL throughput vs request-processing concurrency
 # ---------------------------------------------------------------------------
 
-FIG2A_LEVELS = (5, 10, 20, 30, 36, 40, 60, 80, 120, 160, 240, 400, 600)
-
-
-def fig2a_specs():
-    return [StressSpec(tier="db", concurrencies=FIG2A_LEVELS, seed=1,
-                       duration=12.0)]
+#: The stress harness drives one bare server, not a deployment, so the
+#: experiment has no specs: these analysis params (part of the artifact
+#: key) describe its points.
+FIG2A_PARAMS = {
+    "tier": "db",
+    "levels": [5, 10, 20, 30, 36, 40, 60, 80, 120, 160, 240, 400, 600],
+    "seed": 1,
+    "duration": 12.0,
+}
 
 
 def fig2a(ctx):
-    points = ctx.value(0)
+    p = ctx.params
+    points = stress_sweep(
+        p["tier"], p["levels"], seed=p["seed"], duration=p["duration"],
+        jobs=ctx.jobs, store=ctx.store,
+    ).value
     by_level = {p.target_concurrency: p.throughput for p in points}
     peak_level = max(by_level, key=by_level.get)
     peak = by_level[peak_level]
@@ -110,12 +119,16 @@ FIG2B_CONFIGS = (
 )
 
 
+def _point(**fields):
+    """A steady-state point: no monitoring pipeline, measured after warmup."""
+    return ScenarioSpec(monitoring=False, workload="rubbos", think_time=3.0,
+                        **fields)
+
+
 def fig2b_specs():
     return [
-        SteadySpec(
-            hardware=hw, soft=soft, users=FIG2B_USERS, workload="rubbos",
-            think_time=3.0, seed=11, warmup=6.0, duration=20.0,
-        )
+        _point(hardware=hw, soft=soft, users=FIG2B_USERS, seed=11,
+               warmup=6.0, duration=20.0)
         for _label, hw, soft in FIG2B_CONFIGS
     ]
 
@@ -169,20 +182,18 @@ FIG4_USER_LEVELS = (2400, 3200, 4000)
 
 
 def fig4a_specs():
-    return [ValidationSpec(
+    return validation_specs(
         hardware="1/1/1",
-        soft_configs=tuple(
-            SoftResourceConfig(1000, t, 80) for t in FIG4A_TOMCAT_THREADS
-        ),
+        soft_configs=[SoftResourceConfig(1000, t, 80) for t in FIG4A_TOMCAT_THREADS],
         user_levels=FIG4_USER_LEVELS,
         seed=0,
         warmup=6.0,
         duration=15.0,
-    )]
+    )
 
 
 def fig4a(ctx):
-    curves = ctx.value(0)
+    curves = validation_curves(ctx.specs, ctx.values)
     # Compare *under peak workload* (the last ramp level): below saturation
     # all allocations deliver the offered load and the curves overlap, as in
     # the left half of the paper's Fig 4(a).
@@ -235,20 +246,18 @@ FIG4B_DB_CONNECTIONS = (9, 18, 40, 80, 160)
 
 
 def fig4b_specs():
-    return [ValidationSpec(
+    return validation_specs(
         hardware="1/2/1",
-        soft_configs=tuple(
-            SoftResourceConfig(1000, 100, c) for c in FIG4B_DB_CONNECTIONS
-        ),
+        soft_configs=[SoftResourceConfig(1000, 100, c) for c in FIG4B_DB_CONNECTIONS],
         user_levels=FIG4_USER_LEVELS,
         seed=0,
         warmup=6.0,
         duration=15.0,
-    )]
+    )
 
 
 def fig4b(ctx):
-    curves = ctx.value(0)
+    curves = validation_curves(ctx.specs, ctx.values)
     # Compare under peak workload (see fig4a note).
     peak = {c.soft.db_connections: c.throughput[-1] for c in curves}
 
@@ -295,28 +304,32 @@ FIG5_SEED = 7
 FIG5_CONTROLLERS = ("dcm", "ec2")
 
 
+def _report(dep):
+    """The stability report of a stopped controller deployment."""
+    system = dep.system
+    return stability_report(
+        system.request_log, len(system.failure_log), dep.duration,
+        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
+    )
+
+
 def fig5_specs():
     models = ground_truth_models(FIG5_SCALE)
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller=name, trace=trace, max_users=FIG5_MAX_USERS,
-            seed=FIG5_SEED, demand_scale=FIG5_SCALE, models=models,
-        )
+        ScenarioSpec(controller=name, workload="trace", trace=trace,
+                     max_users=FIG5_MAX_USERS, seed=FIG5_SEED,
+                     demand_scale=FIG5_SCALE, models=models)
         for name in FIG5_CONTROLLERS
     ]
 
 
 def fig5(ctx):
     runs = dict(zip(FIG5_CONTROLLERS, ctx.values))
-    reports = {
-        name: stability_report(r.request_log, r.failed, r.duration,
-                               vm_seconds=r.vm_seconds)
-        for name, r in runs.items()
-    }
+    reports = {name: _report(dep) for name, dep in runs.items()}
     max_db_conc = {
-        name: max(rec.get("concurrency") for rec in r.records("db"))
-        for name, r in runs.items()
+        name: max(rec.get("concurrency") for rec in dep.collector.records("db"))
+        for name, dep in runs.items()
     }
 
     rows = [
@@ -340,15 +353,20 @@ def fig5(ctx):
         title="Fig 5: stability & efficiency under the Large Variation trace",
     )
     for name in ("dcm", "ec2"):
-        run = runs[name]
-        rt = response_time_series(run.request_log, run.duration, 5.0, percentile=95.0)
-        xp = throughput_series(run.request_log, run.duration, 5.0)
-        conc = metric_series(run.records("db"), "concurrency", run.duration, 5.0)
+        dep = runs[name]
+        log = dep.system.request_log
+        rt = response_time_series(log, dep.duration, 5.0, percentile=95.0)
+        xp = throughput_series(log, dep.duration, 5.0)
+        conc = metric_series(dep.collector.records("db"), "concurrency",
+                             dep.duration, 5.0)
         text += f"\n\n[{name}] p95 RT (5s bins): {render_sparkline(rt.values)}"
         text += f"\n[{name}] throughput:       {render_sparkline(xp.values)}"
         text += f"\n[{name}] MySQL conc:       {render_sparkline(conc.values)}"
-        text += "\n" + render_series(f"[{name}] app VMs", run.tier_vm_timeline("app"), precision=0)
-        text += "\n" + render_series(f"[{name}] db VMs", run.tier_vm_timeline("db"), precision=0)
+        for tier in ("app", "db"):
+            text += "\n" + render_series(
+                f"[{name}] {tier} VMs", dep.controller.scaling_timeline(tier),
+                precision=0,
+            )
     dcm = runs["dcm"]
     if dcm.app_agent is not None:
         reallocs = [a for a in dcm.app_agent.actions if a.action == "apply"]
@@ -371,9 +389,9 @@ def fig5(ctx):
     assert max_db_conc["ec2"] >= 120
     assert max_db_conc["dcm"] <= 60
     # --- Both controllers actually scaled out and back in. ---
-    for name, run in runs.items():
-        app_counts = [c for _t, c in run.tier_vm_timeline("app")]
-        db_counts = [c for _t, c in run.tier_vm_timeline("db")]
+    for name, dep in runs.items():
+        app_counts = [c for _t, c in dep.controller.scaling_timeline("app")]
+        db_counts = [c for _t, c in dep.controller.scaling_timeline("db")]
         assert max(app_counts) >= 3, f"{name} must reach 3 Tomcats"
         assert max(db_counts) >= 2, f"{name} must reach 2+ MySQL"
         assert app_counts[-1] < max(app_counts), f"{name} must scale back in"
@@ -393,16 +411,14 @@ def fig5(ctx):
 # ---------------------------------------------------------------------------
 
 def _capacity_spec(hardware, soft, users):
-    return SteadySpec(
-        hardware=hardware, soft=soft, users=users, workload="rubbos",
-        think_time=3.0, seed=21, warmup=6.0, duration=16.0,
-    )
+    return _point(hardware=hardware, soft=soft, users=users, seed=21,
+                  warmup=6.0, duration=16.0)
 
 
 def table1_specs():
     return [
-        TrainingSpec(tier="app", seed=0),
-        TrainingSpec(tier="db", seed=0),
+        *training_specs("app", seed=0),
+        *training_specs("db", seed=0),
         # Scaling correction for the DB tier: optimal soft config, 1 vs 2
         # MySQL.  The app tier is over-provisioned (2-3 Tomcats) so MySQL
         # stays the bottleneck in both measurements.
@@ -412,8 +428,12 @@ def table1_specs():
 
 
 def table1(ctx):
-    app_outcome, db_outcome, cap1, cap2 = ctx.values
-    outcomes = {"app": app_outcome, "db": db_outcome}
+    n_app, n_db = len(TRAINING_LEVELS), len(DB_TRAINING_LEVELS)
+    outcomes = {
+        "app": training_outcome("app", ctx.values[:n_app]),
+        "db": training_outcome("db", ctx.values[n_app:n_app + n_db]),
+    }
+    cap1, cap2 = ctx.values[n_app + n_db:]
     x1, x2 = cap1.steady.throughput, cap2.steady.throughput
     gamma_eff = estimate_scaling_correction(x1, x2, 2)
 
@@ -503,9 +523,9 @@ def kernel(ctx):
 def overprovision_specs():
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=FIG5_MAX_USERS,
-            seed=FIG5_SEED, demand_scale=FIG5_SCALE,
+        ScenarioSpec(
+            controller="dcm", workload="trace", trace=trace,
+            max_users=FIG5_MAX_USERS, seed=FIG5_SEED, demand_scale=FIG5_SCALE,
             models=ground_truth_models(FIG5_SCALE),
         ),
         ScenarioSpec(
@@ -526,18 +546,7 @@ def overprovision_specs():
 
 
 def overprovision(ctx):
-    dcm_run = ctx.value(0)
-    dcm = stability_report(
-        dcm_run.request_log, dcm_run.failed, dcm_run.duration,
-        vm_seconds=dcm_run.vm_seconds,
-    )
-    outcome = ctx.value(1)
-    dep, spec = outcome.deployment, outcome.spec
-    static = stability_report(
-        dep.system.request_log, len(dep.system.failure_log),
-        spec.trace.duration,
-        vm_seconds=dep.hypervisor.billing.vm_seconds(spec.trace.duration),
-    )
+    dcm, static = (_report(dep) for dep in ctx.values)
 
     rows = [
         [label, getattr(dcm, attr), getattr(static, attr)]
@@ -586,9 +595,10 @@ def ablation_policy_specs():
     models = ground_truth_models(FIG5_SCALE)
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=FIG5_MAX_USERS, seed=7,
-            demand_scale=FIG5_SCALE, models=models,
+        ScenarioSpec(
+            controller="dcm", workload="trace", trace=trace,
+            max_users=FIG5_MAX_USERS, seed=7, demand_scale=FIG5_SCALE,
+            models=models,
             policy=ScalingPolicy(consecutive_low_periods=lows),
         )
         for _label, lows in POLICY_VARIANTS
@@ -597,11 +607,10 @@ def ablation_policy_specs():
 
 def ablation_policy(ctx):
     results = {}
-    for (label, _lows), run in zip(POLICY_VARIANTS, ctx.values):
-        report = stability_report(run.request_log, run.failed, run.duration,
-                                  vm_seconds=run.vm_seconds)
+    for (label, _lows), dep in zip(POLICY_VARIANTS, ctx.values):
+        report = _report(dep)
         scale_events = sum(
-            1 for e in run.controller.events
+            1 for e in dep.controller.events
             if e.kind in ("scale_out_done", "scale_in_done")
         )
         results[label] = (report, scale_events)
@@ -655,11 +664,10 @@ def _per_tomcat(h):
 
 def ablation_headroom_specs():
     return [
-        SteadySpec(
+        _point(
             hardware="1/2/1",
             soft=SoftResourceConfig(1000, 100, _per_tomcat(h)),
-            users=HEADROOM_USERS, workload="rubbos", think_time=3.0,
-            seed=31, warmup=6.0, duration=15.0,
+            users=HEADROOM_USERS, seed=31, warmup=6.0, duration=15.0,
         )
         for h in HEADROOMS
     ]
@@ -719,11 +727,10 @@ BALANCE_GRID = [
 
 def ablation_balance_specs():
     return [
-        SteadySpec(
+        _point(
             hardware="1/3/2",
             soft=SoftResourceConfig(1000, 100, conns),
-            users=BALANCE_USERS, workload="rubbos", think_time=3.0,
-            seed=13, warmup=6.0, duration=12.0,
+            users=BALANCE_USERS, seed=13, warmup=6.0, duration=12.0,
             imbalance=w, balancer_policy=policy,
         )
         for _label, policy, conns, w in BALANCE_GRID
@@ -793,10 +800,9 @@ def ablation_thrash_specs():
     specs = []
     for variant, hw in THRASH_GRID:
         quad = variant == "quadratic only"
-        specs.append(SteadySpec(
-            hardware=hw, soft="1000/100/80", users=THRASH_USERS,
-            workload="rubbos", think_time=3.0, seed=11, warmup=6.0,
-            duration=15.0,
+        specs.append(_point(
+            hardware=hw, soft="1000/100/80", users=THRASH_USERS, seed=11,
+            warmup=6.0, duration=15.0,
             mysql_contention=_quadratic(MYSQL_CONTENTION) if quad else None,
             tomcat_contention=_quadratic(TOMCAT_CONTENTION) if quad else None,
         ))
@@ -869,8 +875,7 @@ def skewed_shards_specs():
 
 def skewed_shards(ctx):
     deps = {}
-    for name, outcome in zip(SHARDS_CONTROLLERS, ctx.scenario_outcomes()):
-        dep = outcome.deployment
+    for name, dep in zip(SHARDS_CONTROLLERS, ctx.deployments()):
         # Settle in-flight closed-loop sessions so the shard books balance.
         dep.env.run(until=dep.env.now + 60.0)
         deps[name] = dep

@@ -3,7 +3,7 @@
 Lab shim — see :func:`benchmarks.analyses.ablation_balance` for the
 (policy × pool sizing × skew) grid and the three asserted effects
 (least-conn self-corrects, round-robin pays for skew, the oversized-pool
-tar-pit); ``benchmarks/suite.json`` carries the manifest entry.
+tar-pit); ``benchmarks/suite.py`` carries the manifest entry.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Ablation: sensitivity to the headroom factor over the theoretical knee.
 
 Lab shim — see :func:`benchmarks.analyses.ablation_headroom` and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

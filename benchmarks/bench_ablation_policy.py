@@ -1,7 +1,7 @@
 """Ablation: the "quick start / slow turn off" policy vs naive symmetry.
 
 Lab shim — see :func:`benchmarks.analyses.ablation_policy` and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Ablation: the thrash term is what makes over-concurrency *harmful*.
 
 Lab shim — see :func:`benchmarks.analyses.ablation_thrash` and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

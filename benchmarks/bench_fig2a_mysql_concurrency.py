@@ -2,7 +2,7 @@
 
 Thin pytest shim over the lab: the specs and the full analysis body
 (rendering + the paper's shape assertions) live in
-:func:`benchmarks.analyses.fig2a`; the committed ``benchmarks/suite.json``
+:func:`benchmarks.analyses.fig2a`; ``benchmarks/suite.py``
 names them as the ``fig2a`` experiment.  ``lab_experiment`` runs it with
 ``reanalyze=True`` so the assertions execute on every pytest run, and
 ``strict=True`` so a failed paper-shape check fails this test.

@@ -1,7 +1,7 @@
 """Fig 2(b): naive hardware-only scale-out degrades throughput.
 
 Lab shim — see :func:`benchmarks.analyses.fig2b` for the specs, rendering
-and paper-shape assertions, and ``benchmarks/suite.json`` for the
+and paper-shape assertions, and ``benchmarks/suite.py`` for the
 manifest entry.
 """
 

@@ -2,7 +2,7 @@
 
 Lab shim — see :func:`benchmarks.analyses.fig4a` (which also documents
 the substrate's Active-thread accounting caveat) and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Fig 4(b): model validation on 1/2/1 — the optimal DB connection pools.
 
 Lab shim — see :func:`benchmarks.analyses.fig4b` and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 Lab shim — see :func:`benchmarks.analyses.fig5` for the paired autoscale
 specs, the stability/efficiency table and sparkline rendering, and the
 paper's stability/throughput/VM-cost assertions;
-``benchmarks/suite.json`` carries the manifest entry.
+``benchmarks/suite.py`` carries the manifest entry.
 """
 
 import pytest

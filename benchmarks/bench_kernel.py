@@ -6,7 +6,7 @@ experiment.  The scenarios live in :mod:`repro.perf.kernel`; the lab
 records the report as a *volatile* bench artifact (wall-clock rates differ
 run to run by design, so ``repro lab diff`` reports changes
 informationally, never as deltas).  See
-:func:`benchmarks.analyses.kernel` and ``benchmarks/suite.json``.
+:func:`benchmarks.analyses.kernel` and ``benchmarks/suite.py``.
 
 Run standalone for the full suite and a committed-baseline comparison::
 

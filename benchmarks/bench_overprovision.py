@@ -2,7 +2,7 @@
 
 Lab shim — see :func:`benchmarks.analyses.overprovision` (one autoscale
 spec + one static-fleet scenario spec in a single manifest entry) and
-``benchmarks/suite.json``.
+``benchmarks/suite.py``.
 """
 
 import pytest

@@ -2,7 +2,7 @@
 
 Lab shim — see :func:`benchmarks.analyses.skewed_shards` for the sharded
 scenario specs, the post-run settling, and the shard-book assertions;
-``benchmarks/suite.json`` carries the manifest entry.
+``benchmarks/suite.py`` carries the manifest entry.
 """
 
 import pytest

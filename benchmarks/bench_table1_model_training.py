@@ -2,7 +2,7 @@
 
 Lab shim — see :func:`benchmarks.analyses.table1` for the two training
 sweeps, the 1-vs-2-MySQL scaling-correction probes, and the Table I
-assertions; ``benchmarks/suite.json`` carries the manifest entry (all
+assertions; ``benchmarks/suite.py`` carries the manifest entry (all
 four specs run as one engine batch, so a worker pool drains the whole
 point set).
 """

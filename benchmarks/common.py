@@ -1,8 +1,8 @@
 """Shared plumbing for the benchmark harnesses — now a lab front-end.
 
 Every benchmark regenerates one of the paper's tables/figures.  The specs
-and analysis bodies live in :mod:`benchmarks.analyses`, the committed
-``benchmarks/suite.json`` names them as lab experiments, and the
+and analysis bodies live in :mod:`benchmarks.analyses`,
+``benchmarks/suite.py`` names them as lab experiments, and the
 ``bench_*.py`` files are thin pytest shims calling
 :func:`lab_experiment`, which routes through :func:`repro.lab.run_suite`
 (process-pool fan-out + the content-addressed artifact store under
@@ -22,7 +22,7 @@ invocation):
 
 The shims run with ``reanalyze=True`` so the paper-shape assertions in
 :mod:`benchmarks.analyses` really execute on every pytest run (points
-still come from the store); ``repro lab run benchmarks/suite.json``
+still come from the store); ``repro lab run benchmarks/suite.py``
 additionally reuses stored analysis artifacts, skipping execution
 entirely when nothing changed.
 
@@ -42,7 +42,7 @@ from repro.model import ConcurrencyModel
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 OUT_DIR = os.path.join(BENCH_DIR, "out")
 CACHE_DIR = os.path.join(OUT_DIR, ".cache")
-SUITE_PATH = os.path.join(BENCH_DIR, "suite.json")
+SUITE_PATH = os.path.join(BENCH_DIR, "suite.py")
 
 #: Engine fan-out for every bench (REPRO_JOBS=8 pytest benchmarks/ ...).
 JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1")))
@@ -62,7 +62,7 @@ PAPER_TABLE1 = {
 def lab_experiment(name: str):
     """Run one named suite experiment through the lab, strictly.
 
-    Loads the committed manifest, narrows it to ``name``, and executes it
+    Builds the suite manifest, narrows it to ``name``, and executes it
     with ``reanalyze=True`` (assertions always run) and ``strict=True``
     (the first assertion failure propagates to pytest).  Returns the
     :class:`repro.lab.SuiteRun`.
@@ -80,7 +80,6 @@ def lab_experiment(name: str):
         out_dir=OUT_DIR,
         store_dir=CACHE_DIR if CACHE else None,
         jobs=JOBS,
-        cache=CACHE,
         reanalyze=True,
         strict=True,
     )

@@ -1,6 +1,6 @@
 """Driver for the full benchmark suite (tier 2) — a thin lab front-end.
 
-Runs the committed manifest (``benchmarks/suite.json``) through
+Runs the suite (``benchmarks/suite.py``) through
 :func:`repro.lab.run_suite` directly — no pytest subprocess::
 
     python benchmarks/run_all.py --jobs 8            # parallel, warm cache
@@ -11,7 +11,7 @@ Runs the committed manifest (``benchmarks/suite.json``) through
 Rendered artefacts land in ``benchmarks/out/`` and are byte-identical at
 any jobs/cache setting; the content-addressed store lives in
 ``benchmarks/out/.cache/`` with one run-index JSON per invocation under
-``.cache/runs/``.  ``repro lab run benchmarks/suite.json`` is the same
+``.cache/runs/``.  ``repro lab run benchmarks/suite.py`` is the same
 code path with the full CLI surface (diff, gc, stats).
 """
 
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
 
     from repro.lab import SuiteManifest, manifest_roots, run_suite
 
-    manifest_path = os.path.join(bench_dir, "suite.json")
+    manifest_path = os.path.join(bench_dir, "suite.py")
     manifest = SuiteManifest.load(manifest_path)
     out_dir, store_dir = manifest_roots(manifest_path)
     tags = tuple(t for t in (args.tags or "").split(",") if t)
@@ -57,7 +57,6 @@ def main(argv=None) -> int:
         out_dir=out_dir,
         store_dir=None if args.no_cache else store_dir,
         jobs=args.jobs,
-        cache=not args.no_cache,
         reanalyze=args.reanalyze,
         keyword=args.keyword,
         tags=tags,

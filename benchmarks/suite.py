@@ -1,15 +1,11 @@
-"""Generate the committed ``benchmarks/suite.json`` lab manifest.
+"""The paper benchmark suite — the one source of the lab manifest.
 
-The manifest is data, but its source of truth is code: the spec builders
-in :mod:`benchmarks.analyses` (one per paper figure/table) plus the two
-tiny ``quick``-tagged smoke experiments CI runs on every PR.  Re-run this
-script after changing any spec builder::
+:func:`build_suite` names the spec builders and analyses in
+:mod:`benchmarks.analyses` (one experiment per paper figure/table) plus
+the two tiny ``quick``-tagged smoke experiments CI runs on every PR.
+``repro lab run`` builds the manifest from this file directly::
 
-    PYTHONPATH=src python benchmarks/make_suite.py
-
-``tests/test_lab.py`` asserts the committed file matches
-``build_suite()``, so a drifted manifest fails CI rather than silently
-running stale specs.
+    repro lab run benchmarks/suite.py --tags quick
 """
 
 from __future__ import annotations
@@ -17,11 +13,11 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
+# The analyses are imported as ``benchmarks.analyses``, so the repo root
+# must be importable however this file is loaded.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 from benchmarks import analyses as A  # noqa: E402
 from repro.faults import PolicyConfig, VMCrash  # noqa: E402
@@ -31,59 +27,44 @@ from repro.lab import (  # noqa: E402
     ExperimentEntry,
     SuiteManifest,
 )
-from repro.runner import SteadySpec  # noqa: E402
 from repro.scenario import ScenarioSpec  # noqa: E402
 
-SUITE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "suite.json")
-
-#: (experiment name, spec builder, analysis ref, artifact name, title)
+#: (experiment name, spec builder, analysis params, artifact name, title);
+#: experiment ``x`` is analysed by ``benchmarks.analyses:x``.
 PAPER_EXPERIMENTS = (
-    ("fig2a", A.fig2a_specs, "benchmarks.analyses:fig2a",
-     "fig2a_mysql_concurrency",
+    ("fig2a", list, A.FIG2A_PARAMS, "fig2a_mysql_concurrency",
      "Fig 2(a): MySQL throughput vs request-processing concurrency"),
-    ("fig2b", A.fig2b_specs, "benchmarks.analyses:fig2b",
-     "fig2b_scaleout_degradation",
+    ("fig2b", A.fig2b_specs, {}, "fig2b_scaleout_degradation",
      "Fig 2(b): naive hardware-only scale-out degrades throughput"),
-    ("fig4a", A.fig4a_specs, "benchmarks.analyses:fig4a",
-     "fig4a_validation_111",
+    ("fig4a", A.fig4a_specs, {}, "fig4a_validation_111",
      "Fig 4(a): model validation on 1/1/1 (optimal Tomcat threads)"),
-    ("fig4b", A.fig4b_specs, "benchmarks.analyses:fig4b",
-     "fig4b_validation_121",
+    ("fig4b", A.fig4b_specs, {}, "fig4b_validation_121",
      "Fig 4(b): model validation on 1/2/1 (optimal DB connections)"),
-    ("fig5", A.fig5_specs, "benchmarks.analyses:fig5",
-     "fig5_dcm_vs_autoscale",
+    ("fig5", A.fig5_specs, {}, "fig5_dcm_vs_autoscale",
      "Fig 5: DCM vs EC2-AutoScale under the Large Variation trace"),
-    ("table1", A.table1_specs, "benchmarks.analyses:table1",
-     "table1_model_training",
+    ("table1", A.table1_specs, {}, "table1_model_training",
      "Table I: concurrency-aware model training and prediction"),
-    ("kernel", lambda: [], "benchmarks.analyses:kernel",
-     "kernel_microbenchmarks",
+    ("kernel", list, {}, "kernel_microbenchmarks",
      "Kernel microbenchmarks (simulator speed; volatile)"),
-    ("overprovision", A.overprovision_specs,
-     "benchmarks.analyses:overprovision", "ablation_overprovision",
+    ("overprovision", A.overprovision_specs, {}, "ablation_overprovision",
      "Ablation: static over-provisioning vs DCM"),
-    ("ablation_policy", A.ablation_policy_specs,
-     "benchmarks.analyses:ablation_policy", "ablation_policy",
+    ("ablation_policy", A.ablation_policy_specs, {}, "ablation_policy",
      "Ablation: scale-in conservatism (slow stop vs naive)"),
-    ("ablation_headroom", A.ablation_headroom_specs,
-     "benchmarks.analyses:ablation_headroom", "ablation_headroom",
+    ("ablation_headroom", A.ablation_headroom_specs, {}, "ablation_headroom",
      "Ablation: headroom factor over the MySQL knee"),
-    ("ablation_balance", A.ablation_balance_specs,
-     "benchmarks.analyses:ablation_balance", "ablation_balance",
+    ("ablation_balance", A.ablation_balance_specs, {}, "ablation_balance",
      "Ablation: gamma(K) vs balancing policy, pool sizing, skew"),
-    ("ablation_thrash", A.ablation_thrash_specs,
-     "benchmarks.analyses:ablation_thrash", "ablation_thrash",
+    ("ablation_thrash", A.ablation_thrash_specs, {}, "ablation_thrash",
      "Ablation: the thrash term carries Fig 2(b)"),
-    ("skewed_shards", A.skewed_shards_specs,
-     "benchmarks.analyses:skewed_shards", "skewed_shards",
+    ("skewed_shards", A.skewed_shards_specs, {}, "skewed_shards",
      "Skewed shards: DCM vs hardware-only scaling"),
 )
 
 
 def smoke_steady_specs():
-    return [SteadySpec(
+    return [ScenarioSpec(
         hardware="1/1/1", soft="1000/100/80", users=100, workload="rubbos",
-        think_time=1.0, seed=5, warmup=2.0, duration=6.0,
+        think_time=1.0, seed=5, monitoring=False, warmup=2.0, duration=6.0,
     )]
 
 
@@ -105,11 +86,12 @@ def build_suite() -> SuiteManifest:
         ExperimentEntry(
             name=name,
             specs=tuple(build()),
-            analyses=(AnalysisStep(analysis=ref, name=artifact),),
+            analyses=(AnalysisStep(analysis=f"benchmarks.analyses:{name}",
+                                   name=artifact, params=params),),
             tags=("paper",),
             title=title,
         )
-        for name, build, ref, artifact, title in PAPER_EXPERIMENTS
+        for name, build, params, artifact, title in PAPER_EXPERIMENTS
     ]
     experiments += [
         ExperimentEntry(
@@ -140,20 +122,3 @@ def build_suite() -> SuiteManifest:
         experiments=tuple(experiments),
         comparisons=comparisons,
     )
-
-
-def main() -> int:
-    suite = build_suite()
-    # Round-trip guard: the committed JSON must decode back to the same
-    # manifest, or cached artifact keys would drift between code and file.
-    assert SuiteManifest.from_json(suite.to_json()) == suite
-    with open(SUITE_PATH, "w", encoding="utf-8") as fh:
-        fh.write(suite.to_json_pretty())
-    print(f"wrote {SUITE_PATH} "
-          f"({len(suite.experiments)} experiments, "
-          f"{len(suite.comparisons)} comparisons)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,7 +19,7 @@ import sys
 
 from repro.analysis.tables import render_sparkline, render_table
 from repro.ntier.contention import MYSQL_CONTENTION, TOMCAT_CONTENTION
-from repro.runner import StressSpec, run
+from repro.runner import stress_sweep
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
 
@@ -36,10 +36,9 @@ def main() -> None:
         levels = (1, 2, 5, 10, 20, 30, 40, 60, 80, 120, 160, 240, 400, 600)
         warmup, duration = 3.0, 10.0
     print(f"stressing tier {tier!r} at concurrencies {levels} ...")
-    spec = StressSpec(
-        tier=tier, concurrencies=levels, seed=1, warmup=warmup, duration=duration
-    )
-    points = run(spec, jobs=1, cache=False).value
+    points = stress_sweep(
+        tier, levels, seed=1, warmup=warmup, duration=duration
+    ).value
 
     rows = [
         [p.target_concurrency, p.measured_concurrency, p.throughput]

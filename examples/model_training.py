@@ -19,7 +19,7 @@ import sys
 
 from repro.analysis.tables import render_table
 from repro.model import AllocationPlanner
-from repro.runner import TrainingSpec, run
+from repro.runner import run_many, training_outcome, training_specs
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
 
@@ -37,14 +37,14 @@ def main() -> None:
     outcomes = {}
     for tier in tiers:
         print(f"training {tier} model (JMeter sweep; ~1 min) ...")
-        spec = TrainingSpec(
-            tier=tier,
+        specs = training_specs(
+            tier,
             seed=0,
             levels=(1, 3, 8, 16, 25, 36, 55, 80, 110) if QUICK else None,
             warmup=2.0 if QUICK else 4.0,
             duration=8.0 if QUICK else 24.0,
         )
-        outcomes[tier] = run(spec, jobs=1, cache=False).value
+        outcomes[tier] = training_outcome(tier, run_many(specs).value)
 
     rows = []
     for tier, outcome in outcomes.items():

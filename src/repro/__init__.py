@@ -16,9 +16,9 @@ Subpackages
 ``repro.monitor``   per-VM agents, metric records, controller-side collector
 ``repro.model``     the concurrency-aware model: laws, fitting, optimizer
 ``repro.control``   DCM and EC2-AutoScale controllers + actuators
-``repro.analysis``  time series, SLA reports, experiment runners
-``repro.runner``    parallel experiment engine: frozen specs, process-pool
-                    fan-out, spec-keyed on-disk result caching
+``repro.analysis``  time series, SLA reports, run persistence
+``repro.runner``    parallel experiment engine: ScenarioSpec batches,
+                    process-pool fan-out, points kept in the lab store
 ``repro.scenario``  declarative scenario layer: ScenarioSpec + Deployment
                     composition root with controller/workload registries
 ``repro.check``     determinism lint (DCM001-DCM008) + runtime invariant

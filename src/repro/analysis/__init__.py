@@ -1,11 +1,10 @@
-"""Post-processing and experiment orchestration.
+"""Post-processing of run results.
 
-Time-series binning, SLA/stability reports, ASCII tables, and the
-per-artefact experiment runners (``experiments``) that the benchmark
-harnesses parameterise.
+Time-series binning, SLA/stability reports, ASCII tables, latency
+breakdowns, and JSON/CSV persistence of runs and curves.
 """
 
-from repro.analysis import experiments, persistence, tracing
+from repro.analysis import persistence, tracing
 from repro.analysis.persistence import (
     load_curve,
     load_run,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_SPIKE_THRESHOLD",
     "SpikeEpisode",
     "StabilityReport",
-    "experiments",
     "persistence",
     "load_curve",
     "load_run",

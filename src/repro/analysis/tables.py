@@ -113,8 +113,7 @@ def render_run_telemetry(telemetry) -> str:
         ["worker utilization", telemetry.worker_utilization],
     ]
     cache_note = (
-        f"cache: {telemetry.cache_dir}" if telemetry.cache_enabled
-        else "cache: disabled"
+        f"cache: {telemetry.store}" if telemetry.store else "cache: disabled"
     )
     return render_table(
         ["telemetry", "value"], rows, title="engine telemetry"

@@ -247,22 +247,24 @@ def _gen_symmetry(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_symmetry(
-    params: Dict[str, Any], seed: int, *, jobs: int = 1, cache: bool = True
+    params: Dict[str, Any], seed: int, *, jobs: int = 1, store: Any = None
 ) -> PropertyResult:
-    from repro.runner import SteadySpec, run
+    from repro.runner import run
+    from repro.scenario import ScenarioSpec
 
     k = int(params["app_servers"])
-    spec = SteadySpec(
+    spec = ScenarioSpec(
         hardware=f"1/{k}/1",
         users=int(params["users"]),
         workload="jmeter",
         seed=seed,
+        monitoring=False,
         warmup=float(params["warmup"]),
         duration=float(params["duration"]),
         imbalance=0.0,
         balancer_policy="round_robin",
     )
-    result = run(spec, jobs=jobs, cache=cache).value
+    result = run(spec, jobs=jobs, store=store).value
     busy = result.server_busy["app"]
     failures: List[str] = []
     if result.steady.completed <= 0:
@@ -295,29 +297,20 @@ def _gen_scaling(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_scaling(
-    params: Dict[str, Any], seed: int, *, jobs: int = 1, cache: bool = True
+    params: Dict[str, Any], seed: int, *, jobs: int = 1, store: Any = None
 ) -> PropertyResult:
-    from repro.runner import StressSpec, run_many
+    from repro.runner import stress_sweep
 
     factor = float(2 ** int(params["factor_exp"]))
-    base = StressSpec(
-        tier=str(params["tier"]),
-        concurrencies=(int(params["concurrency"]),),
-        seed=seed,
-        demand_scale=1.0,
-        warmup=float(params["warmup"]),
-        duration=float(params["duration"]),
+    warmup, duration = float(params["warmup"]), float(params["duration"])
+    a, b = (
+        stress_sweep(
+            str(params["tier"]), [int(params["concurrency"])], seed=seed,
+            demand_scale=scale, warmup=warmup * scale,
+            duration=duration * scale, jobs=jobs, store=store,
+        ).value[0]
+        for scale in (1.0, factor)
     )
-    scaled = StressSpec(
-        tier=base.tier,
-        concurrencies=base.concurrencies,
-        seed=seed,
-        demand_scale=factor,
-        warmup=base.warmup * factor,
-        duration=base.duration * factor,
-    )
-    (points_a, points_b) = run_many([base, scaled], jobs=jobs, cache=cache).value
-    a, b = points_a[0], points_b[0]
     failures: List[str] = []
     # Power-of-two scaling commutes with IEEE rounding, so the runs would
     # be bit-identical but for the kernel's completion-batching tolerance
@@ -361,24 +354,26 @@ def _gen_permutation(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_permutation(
-    params: Dict[str, Any], seed: int, *, jobs: int = 1, cache: bool = True
+    params: Dict[str, Any], seed: int, *, jobs: int = 1, store: Any = None
 ) -> PropertyResult:
-    from repro.runner import SteadySpec, run_many
+    from repro.runner import run_many
+    from repro.scenario import ScenarioSpec
 
     specs = [
-        SteadySpec(
+        ScenarioSpec(
             users=int(params["users"]),
             workload="jmeter",
             seed=seed + i,
+            monitoring=False,
             warmup=float(params["warmup"]),
             duration=float(params["duration"]),
         )
         for i in range(int(params["points"]))
     ]
-    forward = run_many(specs, jobs=jobs, cache=cache).value
-    # The reversed pass runs uncached, so this also cross-checks fresh
-    # recomputation against whatever the first pass cached.
-    backward = run_many(list(reversed(specs)), jobs=jobs, cache=False).value
+    forward = run_many(specs, jobs=jobs, store=store).value
+    # The reversed pass runs storeless, so this also cross-checks fresh
+    # recomputation against whatever the first pass stored.
+    backward = run_many(list(reversed(specs)), jobs=jobs).value
     failures: List[str] = []
     for i, (f, b) in enumerate(zip(forward, reversed(backward))):
         if asdict(f.steady) != asdict(b.steady) or f.server_busy != b.server_busy:
@@ -934,13 +929,15 @@ PROPERTIES: Dict[str, AuditProperty] = {
 
 
 def run_scenario(
-    scenario: Scenario, *, jobs: int = 1, cache: bool = True
+    scenario: Scenario, *, jobs: int = 1, store: Any = None
 ) -> PropertyResult:
-    """Check one scenario against its property."""
+    """Check one scenario against its property; engine-backed properties
+    run their points on ``store`` (an
+    :class:`~repro.lab.store.ArtifactStore`, or ``None`` for none)."""
     prop = PROPERTIES.get(scenario.property)
     if prop is None:
         raise ConfigurationError(
             f"unknown audit property {scenario.property!r}; "
             f"pick from {sorted(PROPERTIES)}"
         )
-    return prop.check(scenario.params, scenario.seed, jobs=jobs, cache=cache)
+    return prop.check(scenario.params, scenario.seed, jobs=jobs, store=store)

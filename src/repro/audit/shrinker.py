@@ -44,7 +44,7 @@ def shrink(
     *,
     max_runs: int = 48,
     jobs: int = 1,
-    cache: bool = True,
+    store: Any = None,
 ) -> Tuple[Scenario, int]:
     """Minimise a failing scenario; returns ``(smallest, runs used)``.
 
@@ -60,7 +60,7 @@ def shrink(
     def still_fails(candidate: Scenario) -> bool:
         nonlocal runs
         runs += 1
-        return not run_scenario(candidate, jobs=jobs, cache=cache).passed
+        return not run_scenario(candidate, jobs=jobs, store=store).passed
 
     current = scenario
     progress = True

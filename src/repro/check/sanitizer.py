@@ -1,7 +1,7 @@
 """Runtime invariant audits for the simulated system.
 
 The cheap per-operation checks live inline in the hot paths (``sim.core``,
-``sim.resources``, ``ntier.server``, ``cluster``, ``runner.cache``), guarded
+``sim.resources``, ``ntier.server``, ``cluster``, ``runner.engine``), guarded
 by :func:`repro.check.config.active`.  This module holds the *whole-object*
 audits those hooks and the tests share: given a live component, verify its
 books balance and raise :class:`repro.errors.InvariantViolation` when they
@@ -169,12 +169,12 @@ def verify_payload_roundtrip(payload: Dict[str, Any], text: str) -> None:
         decoded = json.loads(text)
     except ValueError as err:
         raise InvariantViolation(
-            "runner.cache", "payload-json-roundtrip", None,
+            "runner.engine", "payload-json-roundtrip", None,
             f"canonical payload JSON does not parse: {err}",
         ) from None
     if decoded != payload:
         raise InvariantViolation(
-            "runner.cache", "payload-json-roundtrip", None,
+            "runner.engine", "payload-json-roundtrip", None,
             "payload changes shape through JSON (tuples, NaN, or non-string "
             f"keys?): {payload!r}",
         )

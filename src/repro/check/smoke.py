@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.check import config as check_config
 from repro.check.sanitizer import audit_billing
@@ -62,25 +62,26 @@ def result_digest(encoded: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _steady_payload(seed: int, demand_scale: float) -> Dict[str, Any]:
-    from repro.runner import SteadySpec
+def _steady_spec(seed: int, demand_scale: float):
+    from repro.scenario import ScenarioSpec
 
-    return SteadySpec(
+    return ScenarioSpec(
         users=40,
         workload="rubbos",
         seed=seed,
         demand_scale=demand_scale,
+        monitoring=False,
         warmup=2.0,
         duration=6.0,
-    ).payloads()[0]
+    )
 
 
 def _determinism_check(seed: int, demand_scale: float) -> List[SmokeOutcome]:
-    from repro.runner.points import run_payload
+    from repro.runner.points import execute_steady
 
-    payload = _steady_payload(seed, demand_scale)
-    first, _ = run_payload(payload)
-    second, _ = run_payload(payload)
+    spec = _steady_spec(seed, demand_scale)
+    first = execute_steady(spec)
+    second = execute_steady(spec)
     digests = (result_digest(first), result_digest(second))
     if digests[0] != digests[1]:
         return [SmokeOutcome(
@@ -205,16 +206,8 @@ def _lab_check(seed: int, demand_scale: float) -> SmokeOutcome:
     from repro.lab import (
         AnalysisStep, ExperimentEntry, SuiteManifest, diff_runs, run_suite,
     )
-    from repro.runner import SteadySpec
 
-    spec = SteadySpec(
-        users=40,
-        workload="rubbos",
-        seed=seed,
-        demand_scale=demand_scale,
-        warmup=2.0,
-        duration=6.0,
-    )
+    spec = _steady_spec(seed, demand_scale)
     manifest = SuiteManifest(
         name="lab-smoke",
         experiments=(ExperimentEntry(

@@ -15,8 +15,8 @@ Gives operators the library's main entry points without writing Python:
     Replay a trace against a controller ("dcm" / "ec2" / "predictive") and
     print the stability report; optionally save the full artefact JSON.
 ``sweep``
-    Run an arbitrary population sweep from flags or a spec JSON file
-    (``--spec``), printing the per-point table and engine telemetry.
+    Run a population sweep from flags, printing the per-point table and
+    engine telemetry (``repro scenario run`` takes a spec file).
 ``scenario``
     Assemble and run a declarative :class:`repro.scenario.ScenarioSpec`
     from a JSON file through the composition root: ``repro scenario run
@@ -53,7 +53,7 @@ Gives operators the library's main entry points without writing Python:
     exits 1 on a regression beyond ``--tolerance`` (default 25%).
 ``lab``
     Manifest-driven experiment suites on the content-addressed artifact
-    store (:mod:`repro.lab`).  ``repro lab run benchmarks/suite.json -k
+    store (:mod:`repro.lab`).  ``repro lab run benchmarks/suite.py -k
     fig5`` runs a selection of the committed suite, emits the rendered
     artefacts under ``out/`` beside the manifest, and writes a provenance
     run index; ``--baseline RUN`` diffs the fresh run against a recorded
@@ -67,8 +67,10 @@ Gives operators the library's main entry points without writing Python:
 
 Every simulation command routes through the experiment engine
 (:mod:`repro.runner`): ``--jobs N`` fans points out over N worker
-processes and ``--no-cache`` disables the on-disk result cache — results
-are bit-identical either way.  Every command accepts ``--seed`` and
+processes, point results live in the artifact store at
+``$REPRO_CACHE_DIR`` (default ``benchmarks/out/.cache`` at the repo root),
+and ``--no-cache`` runs without a store — results are bit-identical
+either way.  Every command accepts ``--seed`` and
 honours determinism; heavy commands accept ``--demand-scale`` (see
 DESIGN.md §2).
 """
@@ -83,21 +85,22 @@ from typing import List, Optional, Sequence
 
 import repro
 from repro.analysis import stability_report
-from repro.analysis.experiments import build_system, trained_models
 from repro.analysis.persistence import save_curve, save_run
 from repro.analysis.tables import render_sparkline, render_table
 from repro.model import predict_curve, specs_from_system
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.runner import (
-    AutoscaleSpec,
-    SteadySpec,
-    StressSpec,
-    SweepSpec,
-    TrainingSpec,
+    default_cache_dir,
     run,
     run_many,
-    spec_from_json,
+    stress_sweep,
+    sweep_points,
+    sweep_specs,
+    trained_models,
+    training_outcome,
+    training_specs,
 )
+from repro.scenario import ScenarioSpec, build_system
 from repro.workload import large_variation, sine_trace, spike_trace
 
 #: Built-in traces addressable from the CLI.
@@ -116,7 +119,10 @@ def _int_list(text: str) -> List[int]:
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    return {"jobs": args.jobs, "cache": not args.no_cache}
+    from repro.lab import ArtifactStore
+
+    store = None if args.no_cache else ArtifactStore(default_cache_dir())
+    return {"jobs": args.jobs, "store": store}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--no-cache", action="store_true",
-            help="disable the on-disk result cache",
+            help="run without the artifact store (no point lookups or writes)",
         )
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -183,12 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="population at trace level 1.0 (default 5920/scale)")
     p.add_argument("--out", help="write the run artefact JSON here")
 
-    p = sub.add_parser(
-        "sweep", help="population sweep from flags or a spec JSON file"
-    )
+    p = sub.add_parser("sweep", help="population sweep against the full system")
     common(p)
-    p.add_argument("--spec", metavar="FILE",
-                   help="spec JSON file (overrides the sweep flags)")
     p.add_argument("--users", type=_int_list, default=[100, 400, 1600],
                    help="comma-separated user levels")
     p.add_argument("--workload", choices=("jmeter", "rubbos"), default="jmeter")
@@ -340,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     lp = lab_sub.add_parser("run", help="run a suite manifest")
-    lp.add_argument("manifest", metavar="MANIFEST_JSON",
-                    help="path to a repro-lab/1 suite manifest")
+    lp.add_argument("manifest", metavar="MANIFEST",
+                    help="suite .py file (its build_suite()) or a "
+                         "repro-lab/1 JSON manifest")
     lp.add_argument("-k", dest="keyword", default=None, metavar="SUBSTR",
                     help="select experiments whose name contains SUBSTR")
     lp.add_argument("--tags", default=None, metavar="T[,T...]",
@@ -403,7 +406,7 @@ def _steady_rows(steady) -> List[List[object]]:
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
-    spec = SteadySpec(
+    spec = ScenarioSpec(
         hardware=args.hardware,
         soft=args.soft,
         users=args.users,
@@ -411,6 +414,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
         think_time=args.think_time,
         seed=args.seed,
         demand_scale=args.demand_scale,
+        monitoring=False,
         warmup=args.warmup,
         duration=args.duration,
     )
@@ -423,14 +427,14 @@ def cmd_steady(args: argparse.Namespace) -> int:
 
 
 def cmd_knee(args: argparse.Namespace) -> int:
-    spec = StressSpec(
-        tier=args.tier,
-        concurrencies=tuple(args.levels),
+    res = stress_sweep(
+        args.tier,
+        args.levels,
         seed=args.seed,
         demand_scale=args.demand_scale,
         duration=args.duration,
+        **_engine_kwargs(args),
     )
-    res = run(spec, **_engine_kwargs(args))
     points = res.value
     rows = [[p.target_concurrency, p.measured_concurrency, p.throughput]
             for p in points]
@@ -452,13 +456,17 @@ def cmd_knee(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     tiers = ("app", "db") if args.tier == "both" else (args.tier,)
-    specs = [
-        TrainingSpec(tier=tier, seed=args.seed, demand_scale=args.demand_scale)
+    specs = {
+        tier: training_specs(tier, seed=args.seed, demand_scale=args.demand_scale)
         for tier in tiers
-    ]
-    res = run_many(specs, **_engine_kwargs(args))
-    for outcome in res.value:
-        print(outcome.fit.summary())
+    }
+    res = run_many(
+        [spec for tier in tiers for spec in specs[tier]], **_engine_kwargs(args)
+    )
+    values = iter(res.value)
+    for tier in tiers:
+        results = [next(values) for _ in specs[tier]]
+        print(training_outcome(tier, results).fit.summary())
     print(res.telemetry.render())
     return 0
 
@@ -489,8 +497,9 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     max_users = args.max_users or max(1, int(5920 / args.demand_scale))
     print("training offline models (once per scale) ...", file=sys.stderr)
     models = trained_models(args.demand_scale, args.seed)
-    spec = AutoscaleSpec(
+    spec = ScenarioSpec(
         controller=args.controller,
+        workload="trace",
         trace=trace,
         max_users=max_users,
         seed=args.seed,
@@ -498,60 +507,48 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         models=models,
     )
     res = run(spec, **_engine_kwargs(args))
-    the_run = res.value
+    dep = res.value
     report = stability_report(
-        the_run.request_log, the_run.failed, the_run.duration,
-        vm_seconds=the_run.vm_seconds,
+        dep.system.request_log, len(dep.system.failure_log), dep.duration,
+        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
     )
     print(render_table(
         ["metric", "value"], report.rows(),
         title=f"{args.controller} on {args.trace} ({max_users} peak users)",
     ))
     for tier in ("app", "db"):
-        print(f"{tier} VMs: {the_run.tier_vm_timeline(tier)}")
+        print(f"{tier} VMs: {dep.controller.scaling_timeline(tier)}")
     print(res.telemetry.render())
     if args.out:
-        save_run(the_run, args.out)
+        save_run(dep, args.out)
         print(f"artefact written to {args.out}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = spec_from_json(fh.read())
-        title = f"spec sweep ({spec.kind}) from {args.spec}"
-    else:
-        spec = SweepSpec(
-            users_levels=tuple(args.users),
-            hardware=args.hardware,
-            soft=args.soft,
-            workload=args.workload,
-            think_time=args.think_time,
-            seed=args.seed,
-            demand_scale=args.demand_scale,
-            warmup=args.warmup,
-            duration=args.duration,
-            imbalance=args.imbalance,
-        )
-        title = (f"{args.workload} sweep: {args.hardware} @ {args.soft}, "
-                 f"seed {args.seed}")
-    res = run(spec, **_engine_kwargs(args))
-    value = res.value
-    if isinstance(spec, SweepSpec):
-        rows = [
-            [p.users, p.steady.throughput, p.steady.mean_response_time,
-             p.steady.tier_concurrency["app"], p.steady.tier_concurrency["db"]]
-            for p in value
-        ]
-        print(render_table(
-            ["users", "throughput", "RT (s)", "app conc", "db conc"], rows,
-            title=title,
-        ))
-    else:
-        # A --spec file can carry any spec kind; fall back to repr output.
-        print(title)
-        print(value)
+    specs = sweep_specs(
+        args.users,
+        hardware=args.hardware,
+        soft=args.soft,
+        workload=args.workload,
+        think_time=args.think_time,
+        seed=args.seed,
+        demand_scale=args.demand_scale,
+        warmup=args.warmup,
+        duration=args.duration,
+        imbalance=args.imbalance,
+    )
+    res = run_many(specs, **_engine_kwargs(args))
+    rows = [
+        [p.users, p.steady.throughput, p.steady.mean_response_time,
+         p.steady.tier_concurrency["app"], p.steady.tier_concurrency["db"]]
+        for p in sweep_points(specs, res.value)
+    ]
+    print(render_table(
+        ["users", "throughput", "RT (s)", "app conc", "db conc"], rows,
+        title=(f"{args.workload} sweep: {args.hardware} @ {args.soft}, "
+               f"seed {args.seed}"),
+    ))
     print(res.telemetry.render())
     return 0
 
@@ -773,11 +770,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _lab_store_dir(args: argparse.Namespace) -> str:
-    if args.store:
-        return args.store
-    from repro.runner.cache import default_cache_dir
-
-    return default_cache_dir()
+    return args.store or default_cache_dir()
 
 
 def _lab_run(args: argparse.Namespace) -> int:
@@ -786,14 +779,15 @@ def _lab_run(args: argparse.Namespace) -> int:
     from repro.lab import SuiteManifest, diff_runs, manifest_roots, run_suite
 
     manifest_path = os.path.abspath(args.manifest)
-    manifest = SuiteManifest.load(manifest_path)
-    out_default, store_default = manifest_roots(manifest_path)
-    # Dotted analysis refs ("benchmarks.analyses:fig5") resolve relative to
-    # the manifest's repository, not the caller's cwd.
+    # Dotted analysis refs ("benchmarks.analyses:fig5") and a suite .py
+    # file's own imports resolve relative to the manifest's repository,
+    # not the caller's cwd.
     manifest_dir = os.path.dirname(manifest_path)
     for entry in (os.path.dirname(manifest_dir), manifest_dir):
         if entry and entry not in sys.path:
             sys.path.insert(0, entry)
+    manifest = SuiteManifest.load(manifest_path)
+    out_default, store_default = manifest_roots(manifest_path)
     tags = tuple(t for t in (args.tags or "").split(",") if t)
 
     suite_run = run_suite(
@@ -801,7 +795,6 @@ def _lab_run(args: argparse.Namespace) -> int:
         out_dir=args.out or out_default,
         store_dir=None if args.no_cache else (args.store or store_default),
         jobs=args.jobs,
-        cache=not args.no_cache,
         reanalyze=args.reanalyze,
         quiet=args.quiet,
         keyword=args.keyword,

@@ -4,12 +4,14 @@ artifact store.
 The lab layer turns the benchmark/analysis stack declarative:
 
 - :mod:`repro.lab.manifest` — frozen ``SuiteManifest`` (schema
-  ``repro-lab/1``) naming experiments (runner specs and/or scenario
-  specs), their analysis steps, and cross-experiment comparisons.
+  ``repro-lab/1``) naming experiments (``ScenarioSpec`` lists), their
+  analysis steps, and cross-experiment comparisons; built from a suite
+  ``.py`` file or read from JSON.
 - :mod:`repro.lab.store` — typed content-addressed store for all derived
   outputs (point results, tables, reports, bench JSON), keyed by
   ``sha256(producer-spec + inputs + version)``, with per-run provenance
-  indexes and garbage collection.
+  indexes and garbage collection; the engine reads and writes it
+  directly.
 - :mod:`repro.lab.run` — the suite executor (``repro lab run``).
 - :mod:`repro.lab.diff` — cross-run metric/digest comparison
   (``repro lab diff``).
@@ -21,7 +23,6 @@ from repro.lab.analyses import (
     LAB_ANALYSES,
     AnalysisContext,
     CompareContext,
-    ScenarioOutcome,
     render_resilience_report,
     render_scenario_report,
     resolve_analysis,
@@ -58,7 +59,6 @@ __all__ = [
     "ExperimentResult",
     "LAB_ANALYSES",
     "SCHEMA",
-    "ScenarioOutcome",
     "SuiteManifest",
     "SuiteRun",
     "artifact_key",

@@ -2,9 +2,10 @@
 
 An analysis is ``fn(ctx) -> dict`` where ``ctx`` is an
 :class:`AnalysisContext` carrying the experiment's specs and their
-executed values (runner-spec values in entry order; scenario specs yield
-:class:`ScenarioOutcome` objects with the live, stopped deployment).  The
-returned dict becomes the artifact payload; recognised keys:
+executed values in entry order (a
+:class:`~repro.runner.points.SteadyResult` per steady-state point, the
+stopped :class:`~repro.scenario.Deployment` per full run).  The returned
+dict becomes the artifact payload; recognised keys:
 
 ``text``
     Rendered report text — written to ``out/<name>.txt`` (plus trailing
@@ -40,27 +41,13 @@ LAB_ANALYSES = Registry("lab analysis")
 
 
 @dataclass
-class ScenarioOutcome:
-    """What executing one scenario spec yields for analyses.
-
-    ``deployment`` is the live (stopped, but inspectable) composition
-    root — analyses may settle its clock further, read balancer/shard/
-    cache state, and build reports.  ``report`` is the JSON-safe summary
-    the lab records for scenario-only artifacts (see
-    :func:`scenario_report_payload`).
-    """
-
-    spec: Any
-    deployment: Any
-    horizon: float
-
-    def report(self) -> Dict[str, Any]:
-        return scenario_report_payload(self.spec, self.deployment, self.horizon)
-
-
-@dataclass
 class AnalysisContext:
-    """Everything an analysis function sees."""
+    """Everything an analysis function sees.
+
+    ``store`` and ``jobs`` are the suite run's own, so an analysis that
+    runs points itself (the Fig 2(a) stress harness) shares the store and
+    the worker count.
+    """
 
     suite: str
     experiment: str
@@ -68,12 +55,15 @@ class AnalysisContext:
     values: List[Any]
     params: Dict[str, Any] = field(default_factory=dict)
     store: Any = None
+    jobs: int = 1
 
-    def value(self, index: int) -> Any:
-        return self.values[index]
+    def deployments(self) -> List[Any]:
+        """The stopped deployments of the experiment's full runs — live
+        objects: an analysis may settle their clocks further and read
+        balancer/shard/cache state."""
+        from repro.scenario import Deployment
 
-    def scenario_outcomes(self) -> List[ScenarioOutcome]:
-        return [v for v in self.values if isinstance(v, ScenarioOutcome)]
+        return [v for v in self.values if isinstance(v, Deployment)]
 
 
 @dataclass
@@ -115,15 +105,15 @@ def resolve_analysis(ref: str) -> Callable[[Any], Dict[str, Any]]:
 # Scenario reporting (satellite: per-tier resilience composition)
 # ---------------------------------------------------------------------------
 
-def scenario_report_payload(spec, dep, horizon: float) -> Dict[str, Any]:
-    """JSON-safe summary of one deployment run, including the per-tier
+def scenario_report_payload(dep) -> Dict[str, Any]:
+    """JSON-safe summary of one stopped deployment, including the per-tier
     resilience policy composition (which chain wraps which tier, with
     per-policy dispatch counters) — the piece that makes fault suites
     diffable across runs."""
-    system = dep.system
+    system, horizon = dep.system, dep.duration
     payload: Dict[str, Any] = {
-        "controller": spec.controller,
-        "workload": spec.workload,
+        "controller": dep.spec.controller,
+        "workload": dep.spec.workload,
         "horizon": float(horizon),
         "completed": int(system.completed_count()),
         "failed": int(len(system.failure_log)),
@@ -213,23 +203,23 @@ def steady_table(ctx: AnalysisContext) -> Dict[str, Any]:
 
 @LAB_ANALYSES.register("scenario_report")
 def scenario_report(ctx: AnalysisContext) -> Dict[str, Any]:
-    """Render every scenario outcome in the experiment (with resilience
+    """Render every full run in the experiment (with resilience
     composition when policies are installed)."""
-    outcomes = ctx.scenario_outcomes()
-    if not outcomes:
+    deployments = ctx.deployments()
+    if not deployments:
         raise ConfigurationError(
-            f"experiment {ctx.experiment!r} has no scenario specs for "
-            f"the scenario_report analysis"
+            f"experiment {ctx.experiment!r} has no full runs (scenario "
+            f"specs without warmup) for the scenario_report analysis"
         )
     chunks: List[str] = []
     metrics: Dict[str, float] = {}
     reports = []
-    for i, outcome in enumerate(outcomes):
-        payload = outcome.report()
+    for i, dep in enumerate(deployments):
+        payload = scenario_report_payload(dep)
         reports.append(payload)
-        label = ctx.experiment if len(outcomes) == 1 else f"{ctx.experiment}[{i}]"
+        label = ctx.experiment if len(deployments) == 1 else f"{ctx.experiment}[{i}]"
         chunks.append(render_scenario_report(label, payload))
-        prefix = "" if len(outcomes) == 1 else f"[{i}]"
+        prefix = "" if len(deployments) == 1 else f"[{i}]"
         metrics[f"completed{prefix}"] = float(payload["completed"])
         metrics[f"failed{prefix}"] = float(payload["failed"])
         metrics[f"shed{prefix}"] = float(payload["shed"])
@@ -262,16 +252,16 @@ def kernel_bench(ctx: AnalysisContext) -> Dict[str, Any]:
 
 @LAB_ANALYSES.register("autoscale_report")
 def autoscale_report(ctx: AnalysisContext) -> Dict[str, Any]:
-    """Serialise each autoscale-run value via
+    """Serialise each full run with a controller via
     :func:`repro.analysis.persistence.run_artifact` — the full run
     artefact (series, VM timelines, controller events) under ``data``
     with the stability-report scalars as diffable metrics."""
     from repro.analysis.persistence import run_artifact
 
-    runs = [value for value in ctx.values if hasattr(value, "request_log")]
+    runs = [dep for dep in ctx.deployments() if dep.controller is not None]
     if not runs:
         raise ConfigurationError(
-            f"experiment {ctx.experiment!r} has no autoscale-run values "
+            f"experiment {ctx.experiment!r} has no controller runs "
             f"for the autoscale_report analysis"
         )
     bin_width = float(ctx.params.get("bin_width", 5.0))

@@ -2,40 +2,41 @@
 
 A :class:`SuiteManifest` (schema ``repro-lab/1``) is a frozen,
 JSON-round-tripping description of a whole experiment suite: named
-*experiments* (each a list of runner specs and/or
-:class:`~repro.scenario.ScenarioSpec`\\ s plus the analysis steps that turn
-their values into artifacts) and cross-experiment *comparisons*.  It
-follows the spec-validation conventions of :mod:`repro.runner.specs` and
+*experiments* (each a list of :class:`~repro.scenario.ScenarioSpec`\\ s
+plus the analysis steps that turn their values into artifacts) and
+cross-experiment *comparisons*.  It follows the conventions of
 :mod:`repro.scenario.spec`: frozen dataclasses, ``__post_init__``
 validation that fails fast with :class:`~repro.errors.ConfigurationError`,
 canonical JSON via ``to_json`` / ``from_json``, and a schema tag checked
 with :class:`~repro.errors.SchemaError` on load.
 
-An experiment's ``specs`` list mixes spec kinds freely: objects carrying a
-``kind`` from :data:`repro.runner.specs.SPEC_KINDS` are runner specs
-(executed through :func:`repro.runner.run_many`); objects carrying a
-``repro-scenario/*`` ``schema`` tag are scenario specs (executed through
-:class:`repro.scenario.Deployment`).  Analysis steps name either a
-built-in from :data:`repro.lab.analyses.LAB_ANALYSES` or any importable
+The committed suite is code: :meth:`SuiteManifest.load` builds a manifest
+from a ``.py`` file's ``build_suite()`` (``benchmarks/suite.py``) and
+still reads JSON manifests.  Analysis steps name either a built-in from
+:data:`repro.lab.analyses.LAB_ANALYSES` or any importable
 ``"package.module:function"`` dotted reference.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchemaError
-from repro.runner.specs import SPEC_KINDS, _SpecBase
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import SCHEMA as SCENARIO_SCHEMA, ScenarioSpec
 
 #: Schema tag written by :meth:`SuiteManifest.to_json_obj`.
 SCHEMA = "repro-lab/1"
 
 _ACCEPTED_SCHEMAS = (SCHEMA,)
+
+#: Spec kinds of the retired runner spec classes; manifests written before
+#: every run became a ScenarioSpec carry them.
+RETIRED_KINDS = ("steady", "sweep", "stress", "training", "validation", "autoscale")
 
 _NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -51,34 +52,19 @@ def _check_name(name: str, what: str) -> None:
         )
 
 
-def spec_to_json_obj(spec: Any) -> Dict[str, Any]:
-    """Encode a runner spec or a :class:`ScenarioSpec` as plain JSON."""
-    return spec.to_json_obj()
-
-
-def spec_from_json_obj(obj: Dict[str, Any]) -> Any:
-    """Decode either spec family from its JSON object."""
+def _decode_spec(obj: Any) -> ScenarioSpec:
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"spec entry must be an object, got {type(obj).__name__}")
+        raise ConfigurationError(
+            f"spec entry must be an object, got {type(obj).__name__}"
+        )
     kind = obj.get("kind")
-    if kind in SPEC_KINDS:
-        return SPEC_KINDS[kind].from_json_obj(obj)
-    schema = obj.get("schema", "")
-    if isinstance(schema, str) and schema.startswith("repro-scenario/"):
-        return ScenarioSpec.from_json_obj(obj)
-    # Pre-fault scenario payloads (schema v1) carried no schema key but do
-    # carry the scenario-only field set; require an explicit tag here to
-    # keep manifests unambiguous.
-    raise ConfigurationError(
-        f"unrecognised spec entry (kind={kind!r}, schema={schema!r}); "
-        f"runner kinds: {sorted(SPEC_KINDS)}; scenarios need a "
-        f"'repro-scenario/*' schema tag"
-    )
-
-
-def is_scenario_spec(spec: Any) -> bool:
-    """Whether ``spec`` executes through the composition root."""
-    return isinstance(spec, ScenarioSpec)
+    if kind in RETIRED_KINDS:
+        raise SchemaError(
+            f"spec kind {kind!r} is retired; describe the run as a "
+            f"ScenarioSpec (kind 'scenario', schema {SCENARIO_SCHEMA!r}; set "
+            f"'warmup' for a steady-state point)"
+        )
+    return ScenarioSpec.from_json_obj(obj)
 
 
 @dataclass(frozen=True)
@@ -138,14 +124,14 @@ class ExperimentEntry:
     """One named experiment: specs to execute + analyses over their values.
 
     ``specs`` may be empty for analysis-only experiments (e.g. the kernel
-    microbenchmark suite, which measures the simulator itself rather than
-    reducing simulation results); ``analyses`` must not be empty — an
-    experiment that records no artifact leaves nothing to cache, compare,
-    or diff.
+    microbenchmark suite, which measures the simulator itself, or the
+    Fig 2(a) stress harness, whose parameters are analysis params);
+    ``analyses`` must not be empty — an experiment that records no
+    artifact leaves nothing to cache, compare, or diff.
     """
 
     name: str
-    specs: Tuple[Any, ...] = ()
+    specs: Tuple[ScenarioSpec, ...] = ()
     analyses: Tuple[AnalysisStep, ...] = ()
     tags: Tuple[str, ...] = ()
     title: str = ""
@@ -153,14 +139,13 @@ class ExperimentEntry:
     def __post_init__(self) -> None:
         _check_name(self.name, "experiment")
         specs = tuple(
-            spec_from_json_obj(s) if isinstance(s, dict) else s
-            for s in self.specs
+            _decode_spec(s) if isinstance(s, dict) else s for s in self.specs
         )
         for spec in specs:
-            if not isinstance(spec, (ScenarioSpec, _SpecBase)):
+            if not isinstance(spec, ScenarioSpec):
                 raise ConfigurationError(
                     f"experiment {self.name!r}: {type(spec).__name__} is "
-                    f"neither a runner spec nor a ScenarioSpec"
+                    f"not a ScenarioSpec"
                 )
         object.__setattr__(self, "specs", specs)
         analyses = tuple(
@@ -179,16 +164,10 @@ class ExperimentEntry:
         object.__setattr__(self, "analyses", analyses)
         object.__setattr__(self, "tags", tuple(str(t) for t in self.tags))
 
-    def runner_specs(self) -> List[Any]:
-        return [s for s in self.specs if not is_scenario_spec(s)]
-
-    def scenario_specs(self) -> List[ScenarioSpec]:
-        return [s for s in self.specs if is_scenario_spec(s)]
-
     def to_json_obj(self) -> Dict[str, Any]:
         obj: Dict[str, Any] = {
             "name": self.name,
-            "specs": [spec_to_json_obj(s) for s in self.specs],
+            "specs": [s.to_json_obj() for s in self.specs],
             "analyses": [a.to_json_obj() for a in self.analyses],
         }
         if self.title:
@@ -347,10 +326,6 @@ class SuiteManifest:
         """Canonical JSON text (stable across runs — hash-friendly)."""
         return _canonical_json(self.to_json_obj())
 
-    def to_json_pretty(self) -> str:
-        """Indented JSON for the committed, human-reviewed manifest file."""
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json_obj(cls, obj: Dict[str, Any]) -> "SuiteManifest":
         schema = obj.get("schema")
@@ -377,7 +352,11 @@ class SuiteManifest:
 
     @classmethod
     def load(cls, path: str) -> "SuiteManifest":
-        """Read a manifest file (``repro lab run <path>``)."""
+        """Read a manifest file (``repro lab run <path>``): a ``.py`` file
+        is imported and its ``build_suite()`` called; anything else is read
+        as JSON."""
+        if path.endswith(".py"):
+            return cls._build(path)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -385,12 +364,29 @@ class SuiteManifest:
             raise ConfigurationError(f"cannot read manifest {path!r}: {err}") from None
         return cls.from_json(text)
 
+    @classmethod
+    def _build(cls, path: str) -> "SuiteManifest":
+        if not os.path.isfile(path):
+            raise ConfigurationError(f"cannot read manifest {path!r}")
+        module_spec = importlib.util.spec_from_file_location(
+            "_repro_suite", os.path.abspath(path)
+        )
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        build = getattr(module, "build_suite", None)
+        manifest = build() if callable(build) else None
+        if not isinstance(manifest, cls):
+            raise ConfigurationError(
+                f"{path}: build_suite() must return a SuiteManifest"
+            )
+        return manifest
+
 
 def manifest_roots(path: str) -> Tuple[str, str]:
     """Default (out_dir, store_dir) for a manifest file path.
 
     Outputs land beside the manifest (``<dir>/out``) and the store under
-    them (``<dir>/out/.cache``) — for ``benchmarks/suite.json`` that is
+    them (``<dir>/out/.cache``) — for ``benchmarks/suite.py`` that is
     exactly the benchmark harnesses' historical layout.
     """
     base = os.path.dirname(os.path.abspath(path))

@@ -10,12 +10,11 @@ the store: no simulation, no analysis, byte-identical ``out/`` files
 restored from the recorded payloads.  That is what makes a repeated
 ``repro lab run`` of an unchanged manifest a 100% store hit.
 
-Fresh executions route runner specs through one
-:func:`repro.runner.run_many` batch per experiment (one shared cache
-pass + worker pool, exactly the historical benchmark harness behaviour,
-so point results and rendered artifacts stay bit-identical to the
-pre-lab pipeline) and scenario specs through
-:class:`repro.scenario.Deployment`.  Analyses see the values via
+Fresh executions run an experiment's specs as one
+:func:`repro.runner.run_many` batch on the suite's own store (one shared
+store pass + worker pool over the steady-state points, then the full runs
+in-process); a suite run without a store leaves no point results
+anywhere.  Analyses see the values via
 :class:`~repro.lab.analyses.AnalysisContext`; their returned payloads are
 stored as typed artifacts and their ``text`` is written to
 ``out/<name>.txt`` with the historical ``emit`` byte contract
@@ -30,16 +29,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.lab.analyses import (
-    AnalysisContext,
-    CompareContext,
-    ScenarioOutcome,
-    resolve_analysis,
-)
-from repro.lab.manifest import ExperimentEntry, SuiteManifest, is_scenario_spec
+from repro.lab.analyses import AnalysisContext, CompareContext, resolve_analysis
+from repro.lab.manifest import ExperimentEntry, SuiteManifest
 from repro.lab.store import ArtifactStore, RUN_SCHEMA, artifact_key, payload_digest
 
 #: Payload keys recognised from analysis functions.
@@ -58,7 +52,6 @@ class ExperimentResult:
     points_misses: int = 0
     analyses_hits: int = 0
     analyses_misses: int = 0
-    scenarios_run: int = 0
     wall_seconds: float = 0.0
 
 
@@ -91,7 +84,6 @@ class SuiteRun:
             "points_misses": sum(r.points_misses for r in self.results.values()),
             "analyses_hits": sum(r.analyses_hits for r in self.results.values()),
             "analyses_misses": sum(r.analyses_misses for r in self.results.values()),
-            "scenarios_run": sum(r.scenarios_run for r in self.results.values()),
         }
 
 
@@ -131,16 +123,6 @@ def _analysis_producer(
     }
 
 
-def _spec_keys(entry: ExperimentEntry) -> List[str]:
-    keys = []
-    for spec in entry.specs:
-        if is_scenario_spec(spec):
-            keys.append(artifact_key(spec.to_json_obj()))
-        else:
-            keys.append(spec.cache_key())
-    return keys
-
-
 def _record(key: str, payload: Dict[str, Any], type: str, volatile: bool) -> Dict[str, Any]:
     return {
         "key": key,
@@ -151,56 +133,12 @@ def _record(key: str, payload: Dict[str, Any], type: str, volatile: bool) -> Dic
     }
 
 
-def _execute_specs(
-    entry: ExperimentEntry,
-    *,
-    jobs: int,
-    cache: bool,
-    store_root: Optional[str],
-    result: ExperimentResult,
-    quiet: bool,
-) -> List[Any]:
-    """Run the entry's specs; values in entry order (scenario specs yield
-    :class:`ScenarioOutcome`)."""
-    from repro.runner import run_many
-
-    runner_specs = entry.runner_specs()
-    runner_values: List[Any] = []
-    if runner_specs:
-        engine_result = run_many(
-            runner_specs, jobs=jobs, cache=cache, cache_dir=store_root
-        )
-        runner_values = list(engine_result.value)
-        telemetry = engine_result.telemetry
-        result.points_hits += telemetry.cache_hits
-        result.points_misses += telemetry.cache_misses
-        result.wall_seconds += telemetry.wall_seconds
-        if not quiet:
-            print(f"\n{telemetry.render()}\n")
-
-    values: List[Any] = []
-    runner_iter = iter(runner_values)
-    for spec in entry.specs:
-        if is_scenario_spec(spec):
-            from repro.scenario import Deployment
-
-            with Deployment(spec) as dep:
-                dep.run()
-            result.scenarios_run += 1
-            values.append(ScenarioOutcome(spec=spec, deployment=dep,
-                                          horizon=dep.duration))
-        else:
-            values.append(next(runner_iter))
-    return values
-
-
 def run_suite(
     manifest: SuiteManifest,
     *,
     out_dir: str,
     store_dir: Optional[str] = None,
     jobs: int = 1,
-    cache: bool = True,
     reanalyze: bool = False,
     strict: bool = False,
     quiet: bool = False,
@@ -214,11 +152,14 @@ def run_suite(
     even when every artifact is stored — the pytest shims use it so the
     paper-shape assertions are really exercised; point results still come
     from the store.  ``strict`` re-raises the first analysis failure
-    (assertion errors included) instead of recording it.
+    (assertion errors included) instead of recording it.  With no
+    ``store_dir`` nothing is read from or written to any store.
     """
+    from repro.runner import run_many
+
     if keyword or tags:
         manifest = manifest.select(keyword=keyword, tags=tags)
-    store = ArtifactStore(store_dir) if (cache and store_dir) else None
+    store = ArtifactStore(store_dir) if store_dir else None
     results: Dict[str, ExperimentResult] = {}
 
     for entry in manifest.experiments:
@@ -252,20 +193,20 @@ def run_suite(
                 continue
 
         try:
-            values = _execute_specs(
-                entry,
-                jobs=jobs,
-                cache=cache,
-                store_root=store.root if store else None,
-                result=result,
-                quiet=quiet,
-            )
+            engine_result = run_many(entry.specs, jobs=jobs, store=store)
+            telemetry = engine_result.telemetry
+            result.points_hits += telemetry.cache_hits
+            result.points_misses += telemetry.cache_misses
+            result.wall_seconds += telemetry.wall_seconds
+            if entry.specs and not quiet:
+                print(f"\n{telemetry.render()}\n")
             ctx_base = dict(
                 suite=manifest.name,
                 experiment=entry.name,
                 specs=entry.specs,
-                values=values,
+                values=engine_result.value,
                 store=store,
+                jobs=jobs,
             )
             for step, producer in steps:
                 ctx = AnalysisContext(params=step.params_dict(), **ctx_base)
@@ -366,7 +307,9 @@ def run_suite(
             entry.name: {
                 "status": results[entry.name].status,
                 "error": results[entry.name].error,
-                "spec_keys": _spec_keys(entry),
+                "spec_keys": [
+                    artifact_key(spec.to_json_obj()) for spec in entry.specs
+                ],
                 "points": {
                     "hits": results[entry.name].points_hits,
                     "misses": results[entry.name].points_misses,

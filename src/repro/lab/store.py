@@ -1,15 +1,16 @@
 """Content-addressed artifact store — the lab's durable memory.
 
-Generalizes the point cache of :mod:`repro.runner.cache` into a typed CAS
-for *every* derived output: point results, rendered tables, figure data,
-bench JSON, comparison reports.  Each artifact lives in one JSON file
+A typed CAS for *every* derived output: point results (written by the
+engine, :mod:`repro.runner.engine`), rendered tables, figure data, bench
+JSON, comparison reports.  Each artifact lives in one JSON file
 ``objects/<key>.json`` under the store root, where
 
     key = sha256(canonical producer JSON + "\\0" input key ... + "\\0" + version)
 
 (:func:`artifact_key`).  The ``producer`` is whatever plainly-JSON spec
-produced the payload — a point payload, an analysis descriptor, a
-comparison descriptor — so the key is the artifact's full provenance.
+produced the payload — a point's ScenarioSpec JSON, an analysis
+descriptor, a comparison descriptor — so the key is the artifact's full
+provenance.
 Because ``repro.__version__`` participates, bumping the version
 invalidates every entry without a cleanup pass; :meth:`ArtifactStore.gc`
 sweeps the stranded files (including the legacy flat ``<key>.json``
@@ -72,9 +73,9 @@ def artifact_key(
 ) -> str:
     """``sha256(producer JSON + "\\0" input ... + "\\0" + version)``.
 
-    With no ``inputs`` this is exactly the construction of
-    :func:`repro.runner.cache.point_key`, so point results and higher-level
-    artifacts share one keyspace and one invalidation rule.
+    With no ``inputs`` this is the engine's point key
+    (:func:`repro.runner.engine.store_key`), so point results and
+    higher-level artifacts share one keyspace and one invalidation rule.
     """
     if version is None:
         from repro import __version__ as version
@@ -265,9 +266,8 @@ class ArtifactStore:
     def _legacy_entries(self) -> Iterable[str]:
         """Flat ``<key>.json`` files in the root — the pre-lab cache layout.
 
-        The old :class:`~repro.runner.cache.ResultCache` wrote point
-        entries directly into the root; version bumps stranded them forever
-        (the docstring admitted as much).  Only 64-hex-named ``.json``
+        The pre-lab point cache wrote entries directly into the root;
+        version bumps stranded them forever.  Only 64-hex-named ``.json``
         files directly under the root qualify, so a store rooted somewhere
         eventful never deletes a bystander.
         """

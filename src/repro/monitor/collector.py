@@ -95,6 +95,13 @@ class MetricCollector:
         """Records for one server with ``timestamp > since``."""
         return [r for r in self._by_server.get(server_name, ()) if r.timestamp > since]
 
+    def records(self, tier: str) -> List[MetricRecord]:
+        """Every retained record of ``tier``'s servers, time-sorted."""
+        rows: List[MetricRecord] = []
+        for name in self.servers(tier):
+            rows.extend(self.recent(name, 0.0))
+        return sorted(rows, key=lambda r: r.timestamp)
+
     def latest(self, server_name: str) -> Optional[MetricRecord]:
         """The most recent record for a server."""
         records = self._by_server.get(server_name)

@@ -156,7 +156,7 @@ def fig5_scenario(seed: int = FIG5_SEED,
                   demand_scale: float = FIG5_DEMAND_SCALE):
     """The Fig-5-shaped autoscale spec the digest test pins bit-for-bit."""
     from repro.model import ConcurrencyModel
-    from repro.runner import AutoscaleSpec
+    from repro.scenario import ScenarioSpec
     from repro.workload import sine_trace
 
     # Analytic Table-I models (knee-invariant rescale), so the scenario
@@ -175,8 +175,9 @@ def fig5_scenario(seed: int = FIG5_SEED,
             tier="db",
         ),
     }
-    return AutoscaleSpec(
+    return ScenarioSpec(
         controller="dcm",
+        workload="trace",
         trace=sine_trace(*FIG5_TRACE),
         max_users=FIG5_MAX_USERS,
         seed=seed,
@@ -186,26 +187,31 @@ def fig5_scenario(seed: int = FIG5_SEED,
 
 
 def run_fig5(spec=None):
-    """Execute the Fig-5-shaped scenario in-process; returns the run."""
-    from repro.analysis import experiments
+    """Run the Fig-5-shaped scenario in-process; returns the stopped
+    :class:`~repro.scenario.Deployment`."""
+    from repro.scenario import Deployment
 
-    return experiments._autoscale_core(spec if spec is not None
-                                       else fig5_scenario())
+    with Deployment(spec if spec is not None else fig5_scenario()) as dep:
+        dep.run()
+    return dep
 
 
-def digest_payload(run) -> Dict[str, Any]:
-    """The JSON-able projection of an autoscale run the digest covers."""
+def digest_payload(dep) -> Dict[str, Any]:
+    """The JSON-able projection of a stopped controller deployment the
+    digest covers."""
     return {
-        "request_log": run.request_log,
-        "failed": run.failed,
-        "vm_seconds": run.vm_seconds,
-        "timelines": {t: run.tier_vm_timeline(t) for t in ("app", "db")},
+        "request_log": dep.system.request_log,
+        "failed": len(dep.system.failure_log),
+        "vm_seconds": dep.hypervisor.billing.vm_seconds(dep.duration),
+        "timelines": {
+            t: dep.controller.scaling_timeline(t) for t in ("app", "db")
+        },
     }
 
 
-def autoscale_digest(run) -> str:
+def autoscale_digest(dep) -> str:
     """sha256 over the canonical JSON of :func:`digest_payload`."""
-    text = json.dumps(digest_payload(run), sort_keys=True,
+    text = json.dumps(digest_payload(dep), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -216,9 +222,9 @@ def bench_fig5(quick: bool) -> Tuple[int, float, int]:
         demand_scale=FIG5_DEMAND_SCALE * (2.0 if quick else 1.0)
     )
     start = perf_counter()  # repro: noqa[DCM001] -- benchmark timing
-    run = run_fig5(spec)
+    dep = run_fig5(spec)
     elapsed = perf_counter() - start  # repro: noqa[DCM001] -- benchmark timing
-    return run.system.completed_count(), elapsed, run.system.env._seq
+    return dep.system.completed_count(), elapsed, dep.env._seq
 
 
 def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,

@@ -1,33 +1,93 @@
 """The parallel experiment engine.
 
-``run(spec, jobs=..., cache=...)`` is the single entry point every
-benchmark, example, and CLI command routes through.  It
+``run_many(specs, jobs=..., store=...)`` is the single entry point every
+benchmark, example, and CLI command routes a batch of
+:class:`~repro.scenario.ScenarioSpec`\\ s through.  A spec with ``warmup``
+set is a steady-state *point*; all points of a batch go through one pass:
 
-1. expands the spec into independent *point payloads* (plain dicts),
-2. answers as many points as possible from the on-disk result cache,
-3. fans the remaining points out over a ``ProcessPoolExecutor`` (``fork``
-   start method; serial fallback when ``jobs == 1``, when only one point is
-   pending, or when the platform lacks ``fork``),
-4. gathers results in submission order (scheduling never affects output),
-5. reduces them into the spec's value and reports timing/cache telemetry.
+1. each point is keyed by its canonical spec JSON (:func:`store_key`) and
+   answered from the :class:`~repro.lab.store.ArtifactStore` it is handed
+   when possible (no store, no lookups and no writes),
+2. the remaining points fan out over a ``ProcessPoolExecutor`` (``fork``
+   start method; serial when ``jobs == 1``, when only one point is
+   pending, or when the platform lacks ``fork``) and are written back,
+3. results come back in submission order (scheduling never affects
+   output) as :class:`~repro.runner.points.SteadyResult`\\ s.
 
-Determinism: each point's seed is a pure function of the spec (see
-:mod:`repro.runner.specs`) and both fresh and cached results pass through
-the same JSON encode/decode, so the reduced value is bit-identical at any
-worker count and across cold/warm cache runs.
+A spec without ``warmup`` is a full run: it executes in-process after the
+point pass and its value is the stopped :class:`~repro.scenario.Deployment`.
+:func:`stress_sweep` drives the Fig 2(a) bare-server harness through the
+same point pass.
+
+Determinism: every point's seed is part of its spec (see
+:mod:`repro.runner.specs` for the sweep derivations) and both fresh and
+stored results pass through the same JSON encode/decode, so values are
+bit-identical at any worker count and across cold/warm stores.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runner.cache import ResultCache, default_cache_dir, point_key
-from repro.runner.points import decode_result, run_payload
+from repro.lab.store import ArtifactStore, artifact_key, canonical_json
+from repro.runner.points import (
+    decode_steady,
+    decode_stress,
+    execute_steady,
+    execute_stress,
+)
+from repro.scenario import Deployment, ScenarioSpec
+
+
+def repo_root(start: Optional[str] = None) -> Optional[str]:
+    """The nearest enclosing directory holding ``pyproject.toml`` or
+    ``.git``, or ``None`` when ``start`` is not inside a repo."""
+    here = os.path.abspath(start or os.getcwd())
+    while True:
+        if any(
+            os.path.exists(os.path.join(here, marker))
+            for marker in ("pyproject.toml", ".git")
+        ):
+            return here
+        parent = os.path.dirname(here)
+        if parent == here:
+            return None
+        here = parent
+
+
+def default_cache_dir() -> str:
+    """The default store root: ``$REPRO_CACHE_DIR``, else
+    ``<repo root>/benchmarks/out/.cache`` (the current working directory
+    stands in for the repo root outside a repo).  The CLI opens its store
+    here; the engine itself never does."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return override
+    anchor = repo_root() or os.getcwd()
+    return os.path.join(anchor, "benchmarks", "out", ".cache")
+
+
+def store_key(producer: Dict[str, Any]) -> str:
+    """The store key of one point: :func:`repro.lab.store.artifact_key` of
+    its plain-JSON description.
+
+    With the ``cache`` check domain armed (see :mod:`repro.check`), the
+    canonical JSON is decoded back and compared against the description —
+    one that changes shape through JSON (tuples, NaN, non-string keys)
+    would silently decouple the key from what actually runs.
+    """
+    from repro.check import config as _checks
+    from repro.check.sanitizer import verify_payload_roundtrip
+
+    if _checks.active("cache"):
+        verify_payload_roundtrip(producer, canonical_json(producer))
+    return artifact_key(producer)
 
 
 def _fork_available() -> bool:
@@ -36,11 +96,10 @@ def _fork_available() -> bool:
 
 @dataclass
 class RunTelemetry:
-    """Timing and cache accounting for one engine invocation."""
+    """Timing and store accounting for one engine invocation."""
 
     jobs: int
-    cache_enabled: bool
-    cache_dir: Optional[str] = None
+    store: Optional[str] = None  # store root; None when running storeless
     points: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -64,121 +123,162 @@ class RunTelemetry:
 
 @dataclass
 class EngineResult:
-    """What :func:`run` returns: the spec's value plus run telemetry."""
+    """What :func:`run` / :func:`run_many` return: value plus telemetry."""
 
     value: Any
     telemetry: RunTelemetry
 
 
-def run(
-    spec: Any,
-    *,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: Optional[str] = None,
-    store: Optional[ResultCache] = None,
-) -> EngineResult:
-    """Execute one spec; see the module docstring for the pipeline."""
-    result = run_many(
-        [spec], jobs=jobs, cache=cache, cache_dir=cache_dir, store=store
-    )
-    return EngineResult(value=result.value[0], telemetry=result.telemetry)
+#: One point: (key producer, executor, executor argument, decoder).
+_Point = Tuple[Dict[str, Any], Callable[[Any], Dict[str, Any]], Any,
+               Callable[[Dict[str, Any]], Any]]
 
 
-def run_many(
-    specs: Sequence[Any],
-    *,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: Optional[str] = None,
-    store: Optional[ResultCache] = None,
-) -> EngineResult:
-    """Execute several specs as one shared point pool.
-
-    All shardable points from all specs go through one cache pass and one
-    worker pool, so a heterogeneous benchmark (e.g. two training sweeps
-    plus two capacity probes) saturates the workers; in-process specs
-    (autoscale runs) execute serially afterwards.  ``value`` is the list of
-    per-spec values in input order.
-
-    ``store`` injects a :class:`~repro.runner.cache.ResultCache` directly
-    (the lab executor shares its artifact store this way); otherwise one is
-    opened at ``cache_dir`` / the default location when ``cache`` is on.
-    """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+def _timed(task: Tuple[Callable[[Any], Dict[str, Any]], Any]) -> Tuple[Dict[str, Any], float]:
+    execute, arg = task
     start = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
-    if store is None and cache:
-        store = ResultCache(cache_dir or default_cache_dir())
-    elif not cache:
-        store = None
-    telemetry = RunTelemetry(
-        jobs=jobs, cache_enabled=cache, cache_dir=store.root if store else None
-    )
+    encoded = execute(arg)
+    return encoded, time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
 
-    # (spec index, entries) where each entry is [payload, key, result slot].
-    sharded: List[Any] = []
-    direct: List[int] = []
-    for si, spec in enumerate(specs):
-        payloads = spec.payloads()
-        if payloads is None:
-            direct.append(si)
-            sharded.append(None)
-            continue
-        sharded.append([[p, point_key(p), None] for p in payloads])
-        telemetry.points += len(payloads)
 
-    # Cache pass.
+def _point_pass(
+    points: Sequence[_Point],
+    *,
+    jobs: int,
+    store: Optional[ArtifactStore],
+    telemetry: RunTelemetry,
+) -> List[Any]:
+    """Store lookup, fork pool, store write; decoded values in order."""
+    keys = [store_key(producer) for producer, _ex, _arg, _dec in points]
+    encoded: List[Any] = [None] * len(points)
     pending = []
-    for entries in sharded:
-        if entries is None:
-            continue
-        for entry in entries:
-            cached = store.get(entry[1]) if store else None
-            if cached is not None:
-                entry[2] = cached["result"]
-                telemetry.cache_hits += 1
-                telemetry.point_seconds.append(0.0)
-            else:
-                pending.append(entry)
+    for i, key in enumerate(keys):
+        entry = store.get(key) if store is not None else None
+        if entry is not None:
+            encoded[i] = entry["payload"]
+            telemetry.cache_hits += 1
+            telemetry.point_seconds.append(0.0)
+        else:
+            pending.append(i)
+    telemetry.points += len(points)
 
-    # Compute misses — in parallel when it pays, serially otherwise.
     if pending:
-        payloads = [entry[0] for entry in pending]
-        workers = min(jobs, len(payloads))
+        tasks = [(points[i][1], points[i][2]) for i in pending]
+        workers = min(jobs, len(tasks))
         if workers > 1 and _fork_available():
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                outputs = list(pool.map(run_payload, payloads))
+                outputs = list(pool.map(_timed, tasks))
         else:
-            outputs = [run_payload(p) for p in payloads]
-        for entry, (encoded, seconds) in zip(pending, outputs):
-            entry[2] = encoded
+            outputs = [_timed(task) for task in tasks]
+        for i, (result, seconds) in zip(pending, outputs):
+            encoded[i] = result
             telemetry.cache_misses += 1
             telemetry.busy_seconds += seconds
             telemetry.point_seconds.append(seconds)
             if store is not None:
-                store.put(entry[1], entry[0], encoded)
+                store.put(keys[i], result, producer=points[i][0], type="point")
+    return [point[3](enc) for point, enc in zip(points, encoded)]
 
-    # Reduce per spec; run in-process specs serially.
+
+def _start(jobs: int, store: Optional[ArtifactStore]) -> Tuple[RunTelemetry, float]:
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    telemetry = RunTelemetry(jobs=jobs, store=store.root if store else None)
+    return telemetry, time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
+
+
+def run(
+    spec: ScenarioSpec, *, jobs: int = 1, store: Optional[ArtifactStore] = None
+) -> EngineResult:
+    """Execute one spec; see :func:`run_many`."""
+    result = run_many([spec], jobs=jobs, store=store)
+    return EngineResult(value=result.value[0], telemetry=result.telemetry)
+
+
+def run_many(
+    specs: Sequence[ScenarioSpec],
+    *,
+    jobs: int = 1,
+    store: Optional[ArtifactStore] = None,
+) -> EngineResult:
+    """Execute several :class:`~repro.scenario.ScenarioSpec`\\ s as one batch.
+
+    All steady-state points (``warmup`` set) share one store pass and one
+    worker pool, so a heterogeneous benchmark (e.g. two training sweeps
+    plus two capacity probes) saturates the workers; full runs execute
+    serially afterwards and count as uncached points.  ``value`` is the
+    list of per-spec values in input order: a
+    :class:`~repro.runner.points.SteadyResult` per point, the stopped
+    :class:`~repro.scenario.Deployment` per full run.
+    """
+    telemetry, start = _start(jobs, store)
+    for spec in specs:
+        if not isinstance(spec, ScenarioSpec):
+            raise ConfigurationError(
+                f"the engine runs ScenarioSpecs, got {type(spec).__name__}"
+            )
+    steady = [i for i, spec in enumerate(specs) if spec.warmup is not None]
     values: List[Any] = [None] * len(specs)
-    for si, spec in enumerate(specs):
-        entries = sharded[si]
-        if entries is None:
-            t0 = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
-            outcome = spec.execute()
-            seconds = time.perf_counter() - t0  # repro: noqa[DCM001] -- telemetry
-            telemetry.points += 1
-            telemetry.cache_misses += 1
-            telemetry.busy_seconds += seconds
-            telemetry.point_seconds.append(seconds)
-            values[si] = spec.reduce([outcome])
-        else:
-            decoded = [
-                decode_result(payload["kind"], encoded)
-                for payload, _key, encoded in entries
-            ]
-            values[si] = spec.reduce(decoded)
+    results = _point_pass(
+        [(specs[i].to_json_obj(), execute_steady, specs[i], decode_steady)
+         for i in steady],
+        jobs=jobs, store=store, telemetry=telemetry,
+    )
+    for i, value in zip(steady, results):
+        values[i] = value
+
+    for i, spec in enumerate(specs):
+        if spec.warmup is not None:
+            continue
+        t0 = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
+        with Deployment(spec) as dep:
+            dep.run()
+        seconds = time.perf_counter() - t0  # repro: noqa[DCM001] -- telemetry
+        telemetry.points += 1
+        telemetry.cache_misses += 1
+        telemetry.busy_seconds += seconds
+        telemetry.point_seconds.append(seconds)
+        values[i] = dep
 
     telemetry.wall_seconds = time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
     return EngineResult(value=values, telemetry=telemetry)
+
+
+def stress_sweep(
+    tier: str,
+    levels: Sequence[int],
+    *,
+    seed: int = 0,
+    demand_scale: float = 1.0,
+    warmup: float = 3.0,
+    duration: float = 15.0,
+    demand_distribution: str = "exponential",
+    jobs: int = 1,
+    store: Optional[ArtifactStore] = None,
+) -> EngineResult:
+    """Direct single-tier stress at each concurrency in ``levels`` (the
+    Fig 2(a) method): one bare server, no deployment.  Each level is a
+    point of the shared point pass with seed ``seed + level``; ``value``
+    is the list of :class:`~repro.runner.points.StressPoint`\\ s."""
+    if tier not in ("app", "db"):
+        raise ConfigurationError(f"unsupported stress tier {tier!r}")
+    if not levels or any(int(conc) < 1 for conc in levels):
+        raise ConfigurationError(f"stress levels must be >= 1, got {list(levels)}")
+    telemetry, start = _start(jobs, store)
+    points = []
+    for conc in levels:
+        point = {
+            "kind": "stress",
+            "tier": tier,
+            "concurrency": int(conc),
+            "seed": seed + int(conc),
+            "demand_scale": demand_scale,
+            "warmup": warmup,
+            "duration": duration,
+            "demand_distribution": demand_distribution,
+        }
+        points.append((point, execute_stress, point, decode_stress))
+    value = _point_pass(points, jobs=jobs, store=store, telemetry=telemetry)
+    telemetry.wall_seconds = time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
+    return EngineResult(value=value, telemetry=telemetry)

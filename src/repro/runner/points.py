@@ -1,12 +1,13 @@
 """Point execution — the worker side of the engine.
 
-A *payload* (see :mod:`repro.runner.specs`) is a plain JSON-able dict that
-fully describes one independent simulation point.  :func:`run_payload`
-executes one payload and returns its **encoded** (JSON-able) result plus
-the compute wall-clock; the parent decodes via :func:`decode_result`.  Both
-the fresh path and the cache-hit path go through the same encode/decode
-round-trip, so results are bit-identical regardless of worker count or
-cache state (Python floats survive JSON exactly).
+A *point* is one independent simulation whose result the engine stores:
+a steady-state :class:`~repro.scenario.ScenarioSpec` (one with
+``warmup`` set), or one level of the Fig 2(a) bare-server stress harness.
+The executors here take the point's plain description, run it, and
+return its **encoded** (JSON-able) result; the engine decodes it with the
+matching ``decode_*`` function.  Fresh and stored results go through the
+same encode/decode round-trip, so values are bit-identical regardless of
+worker count or store state (Python floats survive JSON exactly).
 
 These functions are module-level so :class:`concurrent.futures.ProcessPoolExecutor`
 can pickle them by reference.
@@ -14,13 +15,12 @@ can pickle them by reference.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigurationError
-from repro.ntier.contention import ContentionModel
-from repro.ntier.softconfig import HardwareConfig, SoftResourceConfig
+from repro.scenario import Deployment, SteadyState, measure_steady_state
+from repro.workload.servlets import Servlet, ServletCatalog
 
 
 @dataclass(frozen=True)
@@ -32,36 +32,26 @@ class SteadyResult:
     balance ablation inspects for skew asymmetry.
     """
 
-    steady: Any  # repro.scenario.SteadyState
+    steady: SteadyState
     server_busy: Dict[str, Tuple[float, ...]]
 
 
-def _dec_contention(obj):
-    return None if obj is None else ContentionModel(**obj)
+@dataclass(frozen=True)
+class StressPoint:
+    """One point of a direct-stress sweep."""
+
+    target_concurrency: int
+    measured_concurrency: float
+    throughput: float  # HTTP-equivalent requests/s
 
 
-def _execute_steady(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.scenario import Deployment, ScenarioSpec, measure_steady_state
-
-    spec = ScenarioSpec(
-        hardware=HardwareConfig.parse(payload["hardware"]),
-        soft=SoftResourceConfig.parse(payload["soft"]),
-        seed=payload["seed"],
-        demand_scale=payload["demand_scale"],
-        demand_distribution=payload["demand_distribution"],
-        imbalance=payload["imbalance"],
-        balancer_policy=payload["balancer_policy"],
-        mysql_contention=_dec_contention(payload.get("mysql_contention")),
-        tomcat_contention=_dec_contention(payload.get("tomcat_contention")),
-        monitoring=False,
-        workload=payload["workload"],
-        users=payload["users"],
-        think_time=payload["think_time"],
-    )
+def execute_steady(spec) -> Dict[str, Any]:
+    """Warm ``spec`` up for ``spec.warmup`` seconds, measure over
+    ``spec.duration`` seconds, and encode the result."""
     with Deployment(spec) as dep:
         dep.start()
         steady = measure_steady_state(
-            dep.env, dep.system, payload["warmup"], payload["duration"]
+            dep.env, dep.system, spec.warmup, spec.duration
         )
         server_busy = {
             tier: sorted(
@@ -73,25 +63,57 @@ def _execute_steady(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"steady": asdict(steady), "server_busy": server_busy}
 
 
-def _execute_stress(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.analysis.experiments import _stress_servlet
+def decode_steady(encoded: Dict[str, Any]) -> SteadyResult:
+    return SteadyResult(
+        steady=SteadyState(**encoded["steady"]),
+        server_busy={
+            tier: tuple(vals) for tier, vals in encoded["server_busy"].items()
+        },
+    )
+
+
+def _stress_servlet(catalog: ServletCatalog, tier: str) -> Tuple[Servlet, float]:
+    """A synthetic single-tier servlet matching the mix's mean demands.
+
+    Returns the servlet and the visit ratio used to normalise throughput to
+    HTTP-equivalents.
+    """
+    means = catalog.mean_demands()
+    if tier == "db":
+        queries = means["db_queries"]
+        per_query = means["db_total"] / queries
+        return (
+            Servlet("StressQuery", "browse", 0.0, 0.0, (per_query,)),
+            queries,
+        )
+    if tier == "app":
+        return Servlet("StressServlet", "browse", 0.0, means["tomcat"], ()), 1.0
+    raise ConfigurationError(f"unsupported stress tier {tier!r}")
+
+
+def execute_stress(point: Dict[str, Any]) -> Dict[str, Any]:
+    """Drive one bare server at a fixed concurrency (the Fig 2(a) method).
+
+    ``point`` carries ``tier``, ``concurrency``, ``seed``, ``demand_scale``,
+    ``warmup``, ``duration`` and ``demand_distribution``.
+    """
     from repro.ntier import MySQLServer, TomcatServer
     from repro.ntier.balancer import Balancer
     from repro.ntier.request import Request
     from repro.sim import Environment, RandomStreams
     from repro.workload import browse_only_catalog
 
-    tier = payload["tier"]
-    conc = payload["concurrency"]
-    demand_distribution = payload["demand_distribution"]
+    tier = point["tier"]
+    conc = point["concurrency"]
+    demand_distribution = point["demand_distribution"]
     catalog = browse_only_catalog(
         demand_distribution=demand_distribution,
-        demand_scale=payload["demand_scale"],
+        demand_scale=point["demand_scale"],
     )
     servlet, visit_ratio = _stress_servlet(catalog, tier)
 
     env = Environment()
-    streams = RandomStreams(payload["seed"])
+    streams = RandomStreams(point["seed"])
     rng = streams.stream("stress.demand")
     if tier == "db":
         server = MySQLServer(env, "mysql-stress", max_connections=10 * conc + 50)
@@ -112,7 +134,7 @@ def _execute_stress(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     for _ in range(conc):
         env.process(loop())
-    warmup, duration = payload["warmup"], payload["duration"]
+    warmup, duration = point["warmup"], point["duration"]
     env.run(until=warmup)
     base_completions = server.completions
     base_busy = server.cpu.busy_integral()
@@ -126,40 +148,5 @@ def _execute_stress(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-_EXECUTORS = {
-    "steady": _execute_steady,
-    "stress": _execute_stress,
-}
-
-
-def run_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """Execute one payload; return ``(encoded result, compute seconds)``."""
-    fn = _EXECUTORS.get(payload.get("kind"))
-    if fn is None:
-        raise ConfigurationError(f"unknown point kind {payload.get('kind')!r}")
-    start = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
-    encoded = fn(payload)
-    return encoded, time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
-
-
-def decode_result(kind: str, encoded: Dict[str, Any]) -> Any:
-    """Reconstruct the rich result object from its cached/transported form."""
-    if kind == "steady":
-        from repro.scenario import SteadyState
-
-        return SteadyResult(
-            steady=SteadyState(**encoded["steady"]),
-            server_busy={
-                tier: tuple(vals)
-                for tier, vals in encoded["server_busy"].items()
-            },
-        )
-    if kind == "stress":
-        from repro.analysis.experiments import StressPoint
-
-        return StressPoint(
-            target_concurrency=encoded["target_concurrency"],
-            measured_concurrency=encoded["measured_concurrency"],
-            throughput=encoded["throughput"],
-        )
-    raise ConfigurationError(f"unknown point kind {kind!r}")
+def decode_stress(encoded: Dict[str, Any]) -> StressPoint:
+    return StressPoint(**encoded)

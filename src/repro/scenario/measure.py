@@ -1,10 +1,8 @@
 """Steady-state measurement over a running deployment.
 
-Moved here from ``repro.analysis.experiments`` — measurement belongs next
-to the composition root that produces the systems it measures, and the
-examples/engine import it from the scenario layer directly.  The old
-``from repro.analysis.experiments import measure_steady_state`` path still
-works via a re-export.
+Measurement lives next to the composition root that produces the systems
+it measures; the engine measures every steady-state point
+(a :class:`~repro.scenario.ScenarioSpec` with ``warmup`` set) with it.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def _seeded_estimator(deployment: "Deployment") -> OnlineModelEstimator:
     if spec.models is not None:
         models = dict(spec.models)
     else:
-        from repro.analysis.experiments import trained_models
+        from repro.runner.specs import trained_models
 
         models = trained_models(spec.demand_scale, spec.seed)
     estimator = OnlineModelEstimator(

@@ -3,10 +3,12 @@
 A :class:`ScenarioSpec` is a frozen dataclass that fully describes one
 deployment of the DCM stack: topology + soft configuration, broker and
 monitoring settings, the controller and its models/policy, the workload
-generator, and the run duration.  Like the runner specs it round-trips
+generator, and the run duration.  It is the only description of a run:
+with ``warmup`` set it is a steady-state point (warm up, then measure over
+``duration``), otherwise a full run to the horizon.  It round-trips
 through JSON (``from_json(to_json(spec)) == spec``), so a scenario can be
 stored in a file, shipped to the CLI (``repro scenario run spec.json``),
-or embedded in an audit corpus.
+embedded in an audit corpus, or hashed into a store key.
 
 The spec names its controller and workload by **registry key** (see
 :mod:`repro.scenario.registry`); third parties register new kinds without
@@ -45,13 +47,15 @@ def _canonical_json(obj: Any) -> str:
 #: unsharded MySQL tier).  v3 and v4 payloads written before the kernel lost
 #: its alternative event queue may carry a ``scheduler`` key (``"heap"`` or
 #: ``"calendar"``); it is accepted and ignored, since there is only the one
-#: binary heap and event order never depended on the choice.
-SCHEMA = "repro-scenario/4"
+#: binary heap and event order never depended on the choice.  v5 adds
+#: ``warmup``; older payloads load as full runs (``warmup=None``).
+SCHEMA = "repro-scenario/5"
 
 _ACCEPTED_SCHEMAS = (
     "repro-scenario/1",
     "repro-scenario/2",
     "repro-scenario/3",
+    "repro-scenario/4",
     SCHEMA,
 )
 
@@ -120,7 +124,10 @@ class ScenarioSpec:
       ``max_users`` the trace replayers, and ``batches`` / ``window``
       the batched aggregate populations (million-user scale).
     * **Duration** — explicit ``duration`` or, when ``None``, the trace's
-      own length.
+      own length.  With ``warmup`` set the spec is a *steady-state point*:
+      the run warms up for ``warmup`` simulated seconds, then measures over
+      ``duration`` seconds (:func:`repro.scenario.measure_steady_state`
+      receives both numbers unchanged).
 
     ``models``, ``preparation_periods`` and ``target_servers`` accept
     plain dicts and are frozen to sorted tuples so the spec stays
@@ -174,6 +181,7 @@ class ScenarioSpec:
 
     # -- duration ------------------------------------------------------------
     duration: Optional[float] = None
+    warmup: Optional[float] = None
 
     def __post_init__(self) -> None:
         from repro.scenario.registry import resolve_controller, resolve_workload
@@ -273,6 +281,11 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"duration must be > 0, got {self.duration}"
             )
+        if self.warmup is not None and (self.warmup < 0 or self.duration is None):
+            raise ConfigurationError(
+                "a steady-state point needs warmup >= 0 and a measurement "
+                f"duration, got warmup={self.warmup}, duration={self.duration}"
+            )
         if self.controller is not None and not self.monitoring:
             raise ConfigurationError(
                 "controllers read the metric collector; monitoring=False is "
@@ -339,6 +352,7 @@ class ScenarioSpec:
             "faults": [f.to_json_obj() for f in self.faults],
             "resilience": [p.to_json_obj() for p in self.resilience],
             "duration": self.duration,
+            "warmup": self.warmup,
         }
 
     def to_json(self) -> str:
@@ -360,6 +374,15 @@ class ScenarioSpec:
                 f"unsupported scenario schema {schema!r}; this library reads "
                 f"{list(_ACCEPTED_SCHEMAS)}"
             )
+        try:
+            return cls._decode(obj)
+        except KeyError as err:
+            raise SchemaError(
+                f"scenario spec lacks the required key {err.args[0]!r}"
+            ) from None
+
+    @classmethod
+    def _decode(cls, obj: Dict[str, Any]) -> "ScenarioSpec":
         models = obj.get("models")
         return cls(
             hardware=obj["hardware"],
@@ -405,6 +428,7 @@ class ScenarioSpec:
                 PolicyConfig.from_json_obj(o) for o in obj.get("resilience", ())
             ),
             duration=obj.get("duration"),
+            warmup=obj.get("warmup"),
         )
 
     @classmethod

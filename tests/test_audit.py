@@ -141,7 +141,6 @@ class TestProperties:
                 },
                 13,
             ),
-            cache=False,
         )
         assert result.passed, result.failures
 
@@ -153,7 +152,6 @@ class TestProperties:
                 {"app_servers": 2, "users": 40, "warmup": 2.0, "duration": 6.0},
                 17,
             ),
-            cache=False,
         )
         assert result.passed, result.failures
 
@@ -165,7 +163,6 @@ class TestProperties:
                 {"points": 2, "users": 25, "warmup": 1.5, "duration": 3.0},
                 19,
             ),
-            cache=False,
         )
         assert result.passed, result.failures
 

@@ -119,7 +119,7 @@ class TestPathExemptions:
     ENVIRON = "import os\nv = os.environ['X']\n"
 
     def test_runner_paths_may_read_environ(self):
-        assert lint_source(self.ENVIRON, path="src/repro/runner/cache.py") == []
+        assert lint_source(self.ENVIRON, path="src/repro/runner/engine.py") == []
 
     def test_benchmark_paths_may_read_environ(self):
         assert lint_source(self.ENVIRON, path="benchmarks/common.py") == []

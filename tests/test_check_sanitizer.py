@@ -39,7 +39,7 @@ from repro.ntier.contention import ContentionModel
 from repro.ntier.request import Request
 from repro.ntier.server import TierServer
 from repro.ntier.threadpool import ThreadPool
-from repro.runner.cache import point_key
+from repro.runner import store_key
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 
@@ -122,7 +122,7 @@ class TestErrorCodes:
         assert "arrived=3 != 2" in text
 
     def test_invariant_violation_without_sim_time(self):
-        err = InvariantViolation("runner.cache", "payload-json-roundtrip")
+        err = InvariantViolation("runner.engine", "payload-json-roundtrip")
         assert err.sim_time is None
         assert "t=" not in str(err)
 
@@ -410,22 +410,22 @@ class TestLifecycleAndBilling:
 # ---------------------------------------------------------------------------
 class TestCachePayloads:
     def test_well_formed_payload_yields_key(self):
-        key = point_key({"users": 40, "workload": "rubbos"})
+        key = store_key({"users": 40, "workload": "rubbos"})
         assert len(key) == 64
-        assert key == point_key({"workload": "rubbos", "users": 40})
+        assert key == store_key({"workload": "rubbos", "users": 40})
 
     def test_tuple_payload_caught(self):
         with pytest.raises(InvariantViolation) as exc:
-            point_key({"db_queries": (0.1, 0.2)})
+            store_key({"db_queries": (0.1, 0.2)})
         assert exc.value.invariant == "payload-json-roundtrip"
 
     def test_nan_payload_caught(self):
         with pytest.raises(InvariantViolation):
-            point_key({"scale": float("nan")})
+            store_key({"scale": float("nan")})
 
     def test_disarmed_tuple_payload_passes(self):
         with check_config.override(False):
-            assert len(point_key({"db_queries": (0.1, 0.2)})) == 64
+            assert len(store_key({"db_queries": (0.1, 0.2)})) == 64
 
     def test_verify_payload_roundtrip_direct(self):
         verify_payload_roundtrip({"a": 1}, '{"a": 1}')

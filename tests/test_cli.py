@@ -118,21 +118,6 @@ class TestCommands:
         assert "engine telemetry" in out
         assert "cache: disabled" in out
 
-    def test_sweep_from_spec_file(self, capsys, tmp_path):
-        from repro.runner import SweepSpec
-
-        spec = SweepSpec(
-            users_levels=(10, 25), seed=2, demand_scale=8.0,
-            warmup=1.0, duration=3.0,
-        )
-        path = tmp_path / "spec.json"
-        path.write_text(spec.to_json(), encoding="utf-8")
-        code = main(["sweep", "--spec", str(path), "--no-cache"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "spec sweep (sweep)" in out
-        assert "engine telemetry" in out
-
     def test_steady_uses_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["steady", "--users", "80", "--demand-scale", "8",
@@ -165,14 +150,16 @@ class TestCommands:
 
 class TestPersistence:
     def _run(self):
-        from repro.runner import AutoscaleSpec, run
+        from repro.scenario import Deployment, ScenarioSpec
 
         trace = WorkloadTrace((0.0, 15.0, 25.0, 60.0, 90.0), (0.3, 0.3, 0.9, 0.9, 0.4))
-        spec = AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=520, seed=4,
-            demand_scale=SCALE, models=scaled_models(),
+        spec = ScenarioSpec(
+            controller="dcm", workload="trace", trace=trace, max_users=520,
+            seed=4, demand_scale=SCALE, models=scaled_models(),
         )
-        return run(spec, jobs=1, cache=False).value
+        with Deployment(spec) as dep:
+            dep.run()
+        return dep
 
     def test_csv_roundtrip(self, tmp_path):
         path = str(tmp_path / "t.csv")

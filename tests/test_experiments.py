@@ -1,41 +1,41 @@
-"""Integration tests for the experiment runners (small, fast instances).
+"""Integration tests for the experiment procedures (small, fast instances).
 
 These exercise the exact code paths the benchmarks parameterise — at
 reduced durations/scales so the whole file runs in well under a minute.
 ``demand_scale=8`` shrinks capacities 8x (optimal concurrencies unchanged),
-letting tiny user populations saturate tiers.  Every experiment goes
-through the engine (:func:`repro.runner.run` on a frozen spec); the
-``jobs=1, cache=False`` calls reproduce the removed serial wrappers
-bit-for-bit.
+letting tiny user populations saturate tiers.  Every experiment is a list
+of :class:`~repro.scenario.ScenarioSpec` objects run through the engine
+(storeless, serial); full runs yield the stopped deployment.
 """
 
 import pytest
 
-from repro.analysis.experiments import (
-    DB_TRAINING_LEVELS,
-    TRAINING_LEVELS,
-    build_system,
-    measure_steady_state,
-)
 from repro.errors import ConfigurationError
 from repro.model import ConcurrencyModel
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.runner import (
-    AutoscaleSpec,
-    StressSpec,
-    SweepSpec,
-    TrainingSpec,
-    ValidationSpec,
+    DB_TRAINING_LEVELS,
+    TRAINING_LEVELS,
     run,
+    run_many,
+    stress_sweep,
+    sweep_points,
+    sweep_specs,
+    training_outcome,
+    training_specs,
+    validation_curves,
+    validation_specs,
 )
+from repro.scenario import ScenarioSpec, build_system, measure_steady_state
 from repro.workload import JMeterGenerator, WorkloadTrace
 
 SCALE = 8.0
 
 
-def _run(spec):
-    """Serial, uncached engine execution (the historical wrapper contract)."""
-    return run(spec, jobs=1, cache=False).value
+def _trace_run(controller, **fields):
+    """One controller replaying a trace: the stopped deployment."""
+    spec = ScenarioSpec(controller=controller, workload="trace", **fields)
+    return run(spec).value
 
 
 def scaled_models():
@@ -73,10 +73,10 @@ class TestBuildAndMeasure:
 
 class TestStressSweep:
     def test_mysql_knee_shape(self):
-        points = _run(StressSpec(
-            tier="db", concurrencies=(2, 36, 300), seed=3,
-            demand_scale=SCALE, warmup=2.0, duration=6.0,
-        ))
+        points = stress_sweep(
+            "db", (2, 36, 300), seed=3, demand_scale=SCALE, warmup=2.0,
+            duration=6.0,
+        ).value
         xput = {p.target_concurrency: p.throughput for p in points}
         # Knee region beats both extremes (Fig 2a shape).
         assert xput[36] > xput[2]
@@ -86,27 +86,28 @@ class TestStressSweep:
             assert p.measured_concurrency == pytest.approx(p.target_concurrency, rel=0.1)
 
     def test_tomcat_stress(self):
-        points = _run(StressSpec(
-            tier="app", concurrencies=(20, 200), seed=3,
-            demand_scale=SCALE, warmup=2.0, duration=6.0,
-        ))
+        points = stress_sweep(
+            "app", (20, 200), seed=3, demand_scale=SCALE, warmup=2.0,
+            duration=6.0,
+        ).value
         xput = {p.target_concurrency: p.throughput for p in points}
         assert xput[20] > xput[200]
 
     def test_invalid_tier_and_concurrency(self):
         with pytest.raises(ConfigurationError):
-            StressSpec(tier="web", concurrencies=(5,))
+            stress_sweep("web", (5,))
         with pytest.raises(ConfigurationError):
-            StressSpec(tier="db", concurrencies=(0,))
+            stress_sweep("db", (0,))
 
 
 class TestTraining:
     def test_training_recovers_knee_band(self):
-        outcome = _run(TrainingSpec(
-            tier="db", seed=5, demand_scale=SCALE,
+        specs = training_specs(
+            "db", seed=5, demand_scale=SCALE,
             levels=(1, 2, 4, 8, 16, 24, 36, 50, 70, 90, 110),
             warmup=2.0, duration=8.0,
-        ))
+        )
+        outcome = training_outcome("db", run_many(specs).value)
         assert outcome.fit.r_squared > 0.85
         assert 20 <= outcome.fit.model.optimal_concurrency_int() <= 60
         assert outcome.tier == "db"
@@ -119,20 +120,20 @@ class TestTraining:
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ConfigurationError):
-            TrainingSpec(tier="web")
+            training_specs("web")
 
 
 class TestJmeterSweepAndValidation:
     def test_sweep_points_monotone_users(self):
-        points = _run(SweepSpec(
-            users_levels=(5, 40), seed=2, demand_scale=SCALE,
-            warmup=2.0, duration=5.0,
-        ))
+        specs = sweep_specs(
+            (5, 40), seed=2, demand_scale=SCALE, warmup=2.0, duration=5.0,
+        )
+        points = sweep_points(specs, run_many(specs).value)
         assert [p.users for p in points] == [5, 40]
         assert points[1].steady.throughput > points[0].steady.throughput
 
     def test_validation_curves_structure(self):
-        curves = _run(ValidationSpec(
+        specs = validation_specs(
             hardware=HardwareConfig(1, 1, 1),
             soft_configs=(
                 SoftResourceConfig(1000, 20, 80),
@@ -143,7 +144,8 @@ class TestJmeterSweepAndValidation:
             demand_scale=SCALE,
             warmup=2.0,
             duration=6.0,
-        ))
+        )
+        curves = validation_curves(specs, run_many(specs).value)
         assert len(curves) == 2
         optimal, oversized = curves
         assert optimal.users == (450, 900)
@@ -160,37 +162,40 @@ class TestAutoscaleRunner:
         )
 
     def test_ec2_run_end_to_end(self):
-        outcome = _run(AutoscaleSpec(
-            controller="ec2", trace=self._trace(), max_users=520, seed=4,
+        dep = _trace_run(
+            "ec2", trace=self._trace(), max_users=520, seed=4,
             demand_scale=SCALE, models=scaled_models(),
-        ))
-        assert outcome.controller_name == "ec2"
-        assert outcome.duration == 140.0
-        assert len(outcome.request_log) > 500
-        assert outcome.vm_seconds >= 3 * 140.0  # at least the initial 1/1/1
+        )
+        assert dep.spec.controller == "ec2"
+        assert dep.duration == 140.0
+        assert len(dep.system.request_log) > 500
+        # At least the initial 1/1/1 is billed for the whole run.
+        assert dep.hypervisor.billing.vm_seconds(dep.duration) >= 3 * 140.0
         # Scale-out happened under the burst.
-        assert max(c for _t, c in outcome.tier_vm_timeline("db")) >= 2
-        assert outcome.app_agent is None  # hardware-only: no APP-agent
+        assert max(c for _t, c in dep.controller.scaling_timeline("db")) >= 2
+        assert dep.app_agent is None  # hardware-only: no APP-agent
 
     def test_dcm_run_applies_concurrency_management(self):
-        outcome = _run(AutoscaleSpec(
-            controller="dcm", trace=self._trace(), max_users=520, seed=4,
+        dep = _trace_run(
+            "dcm", trace=self._trace(), max_users=520, seed=4,
             demand_scale=SCALE, models=scaled_models(),
-        ))
-        assert outcome.app_agent is not None
-        applies = [a for a in outcome.app_agent.actions if a.action == "apply"]
+        )
+        assert dep.app_agent is not None
+        applies = [a for a in dep.app_agent.actions if a.action == "apply"]
         assert applies, "DCM must re-allocate soft resources"
         # The initial plan pins the DB connection total near the knee.
-        assert outcome.system.soft.db_connections <= 80
+        assert dep.system.soft.db_connections <= 80
         # Records are retrievable per tier for the Fig 5 series.
-        assert outcome.records("db")
-        assert outcome.collector.servers("app")
+        records = dep.collector.records("db")
+        assert records
+        assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
+        assert dep.collector.servers("app")
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigurationError):
-            AutoscaleSpec(
-                controller="magic", trace=self._trace(), max_users=10,
-                models=scaled_models(),
+            ScenarioSpec(
+                controller="magic", workload="trace", trace=self._trace(),
+                max_users=10, models=scaled_models(),
             )
 
     def test_runs_are_deterministic_per_seed(self):
@@ -198,8 +203,9 @@ class TestAutoscaleRunner:
             controller="dcm", trace=self._trace(), max_users=260, seed=9,
             demand_scale=SCALE, models=scaled_models(),
         )
-        a = _run(AutoscaleSpec(**kwargs))
-        b = _run(AutoscaleSpec(**kwargs))
-        assert len(a.request_log) == len(b.request_log)
-        assert a.request_log[:50] == b.request_log[:50]
-        assert a.tier_vm_timeline("db") == b.tier_vm_timeline("db")
+        a = _trace_run(**kwargs)
+        b = _trace_run(**kwargs)
+        assert len(a.system.request_log) == len(b.system.request_log)
+        assert a.system.request_log[:50] == b.system.request_log[:50]
+        assert (a.controller.scaling_timeline("db")
+                == b.controller.scaling_timeline("db"))

@@ -569,7 +569,7 @@ class TestFaultConservationProperty:
 
     def test_failure_shrinks_to_replayable_spec(self, tmp_path):
         scenario = Scenario("fault_conservation", NOGUARD_PARAMS, seed=2)
-        small, runs = shrink(scenario, max_runs=4, cache=False)
+        small, runs = shrink(scenario, max_runs=4)
         assert runs <= 4
         # Whatever the shrinker settled on must still fail, also after a
         # JSON round-trip (the spec a nightly run would upload).

@@ -24,18 +24,19 @@ from repro.lab import (
     payload_digest,
     run_suite,
 )
-from repro.runner import SteadySpec
+from repro.lab.manifest import RETIRED_KINDS
+from repro.scenario import ScenarioSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SUITE_PATH = os.path.join(REPO_ROOT, "benchmarks", "suite.json")
+SUITE_PATH = os.path.join(REPO_ROOT, "benchmarks", "suite.py")
 
 SCALE = 8.0
 
 
 def tiny_spec(seed=3):
-    return SteadySpec(
+    return ScenarioSpec(
         users=40, workload="rubbos", seed=seed, demand_scale=SCALE,
-        warmup=1.0, duration=3.0,
+        monitoring=False, warmup=1.0, duration=3.0,
     )
 
 
@@ -214,30 +215,34 @@ class TestManifest:
         with pytest.raises(ConfigurationError):
             ComparisonEntry(name="solo", experiments=("a",))
 
+    @pytest.mark.parametrize("kind", RETIRED_KINDS)
+    def test_retired_runner_kind_is_a_schema_error(self, kind):
+        obj = tiny_manifest().to_json_obj()
+        obj["experiments"][0]["specs"] = [{"kind": kind, "seed": 0}]
+        with pytest.raises(SchemaError, match=f"{kind!r}.*ScenarioSpec"):
+            SuiteManifest.from_json_obj(obj)
+
+    def test_py_manifest_needs_build_suite(self, tmp_path):
+        path = tmp_path / "suite.py"
+        path.write_text("SUITE = None\n")
+        with pytest.raises(ConfigurationError, match="build_suite"):
+            SuiteManifest.load(str(path))
+
     def test_manifest_roots(self):
-        out_dir, store_dir = manifest_roots("/x/benchmarks/suite.json")
+        out_dir, store_dir = manifest_roots("/x/benchmarks/suite.py")
         assert out_dir == os.path.join("/x/benchmarks", "out")
         assert store_dir == os.path.join("/x/benchmarks", "out", ".cache")
 
 
 class TestCommittedSuite:
-    def test_committed_suite_matches_builder(self):
-        # benchmarks/suite.json is generated by benchmarks/make_suite.py;
-        # drift between the two is a broken invariant, not a preference.
-        import sys
-
-        for entry in (REPO_ROOT,):
-            if entry not in sys.path:
-                sys.path.insert(0, entry)
-        from benchmarks.make_suite import build_suite
-
-        committed = SuiteManifest.load(SUITE_PATH)
-        assert committed == build_suite()
-
     def test_committed_suite_loads_and_round_trips(self):
+        # benchmarks/suite.py is the suite's one source: loading it runs
+        # build_suite(), and the manifest survives its own JSON encoding
+        # (so artifact keys are the same from code or from a JSON dump).
         manifest = SuiteManifest.load(SUITE_PATH)
         assert len(manifest.experiments) == 15
         assert SuiteManifest.from_json(manifest.to_json()) == manifest
+        assert manifest.experiment("fig2a").specs == ()
 
 
 class TestRunAndDiff:
@@ -318,6 +323,19 @@ class TestRunAndDiff:
         assert any(d.kind == "changed" and d.experiment == "b"
                    for d in report.deltas)
 
+    def test_storeless_run_writes_no_point_results(self, tmp_path, monkeypatch):
+        # Without a store the suite must not fall back to the engine's
+        # default location ($REPRO_CACHE_DIR / benchmarks/out/.cache).
+        default = tmp_path / "default-store"
+        default.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        suite_run = run_suite(
+            tiny_manifest(), out_dir=str(tmp_path / "out"), store_dir=None,
+            strict=True, quiet=True,
+        )
+        assert suite_run.ok and suite_run.store is None
+        assert os.listdir(default) == []
+
     def test_failed_analysis_recorded_not_raised(self, tmp_path):
         manifest = SuiteManifest(
             name="failing",
@@ -394,7 +412,7 @@ class TestArtifactHelpers:
         )
 
     def test_default_cache_dir_resolves_repo_root(self, tmp_path, monkeypatch):
-        from repro.runner.cache import default_cache_dir
+        from repro.runner import default_cache_dir
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         # From a nested directory inside the repo, the cache still lands in

@@ -3,7 +3,7 @@ simulator."""
 
 import pytest
 
-from repro.analysis.experiments import build_system, measure_steady_state
+from repro.scenario import build_system, measure_steady_state
 from repro.errors import ModelError
 from repro.model.predictor import (
     OperatingPoint,

@@ -9,23 +9,23 @@ pre-scenario wiring (golden digests), the ``online_refit`` flag, and the
 
 import pytest
 
-from repro.analysis.experiments import _autoscale_core, measure_steady_state
 from repro.check import config as check_config
 from repro.cli import main
 from repro.control import ScalingPolicy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
 from repro.model import ConcurrencyModel
 from repro.monitor import TierStats
 from repro.ntier import HardwareConfig
 from repro.ntier.contention import ContentionModel
 from repro.perf import autoscale_digest
-from repro.runner import AutoscaleSpec
 from repro.scenario import (
     CONTROLLERS,
+    SCHEMA,
     WORKLOADS,
     Deployment,
     ScenarioSpec,
     controller_names,
+    measure_steady_state,
     register_controller,
     register_workload,
     resolve_controller,
@@ -112,6 +112,40 @@ class TestSpecRoundTrip:
         assert "scheduler" not in obj
         obj["scheduler"] = scheduler
         assert ScenarioSpec.from_json_obj(obj) == spec
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_schema_payloads_load_as_full_runs(self, version):
+        # v1-v4 payloads predate the warmup field; they load unchanged as
+        # full runs (warmup=None).  v1 also predates the schema tag and
+        # the fault/batched/stateful fields.
+        obj = ScenarioSpec(seed=4, workload="rubbos", users=20,
+                           duration=30.0).to_json_obj()
+        del obj["warmup"]
+        if version == 1:
+            for key in ("schema", "faults", "resilience", "batches",
+                        "window", "cache", "sharding", "write_fraction"):
+                del obj[key]
+        else:
+            obj["schema"] = f"repro-scenario/{version}"
+        spec = ScenarioSpec.from_json_obj(obj)
+        assert spec.warmup is None
+        assert spec == ScenarioSpec(seed=4, workload="rubbos", users=20,
+                                    duration=30.0)
+
+    def test_steady_point_round_trips_under_v5(self):
+        spec = ScenarioSpec(workload="jmeter", users=12, monitoring=False,
+                            warmup=1.1, duration=6.7)
+        obj = spec.to_json_obj()
+        assert obj["schema"] == SCHEMA == "repro-scenario/5"
+        assert obj["warmup"] == 1.1
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("key", ["hardware", "users", "monitoring"])
+    def test_missing_required_key_is_a_schema_error(self, key):
+        obj = rich_spec().to_json_obj()
+        del obj[key]
+        with pytest.raises(SchemaError, match=repr(key)):
+            ScenarioSpec.from_json_obj(obj)
 
     def test_duration_falls_back_to_trace_length(self):
         spec = rich_spec()
@@ -313,13 +347,14 @@ class TestTierStatsDataclass:
 
 
 class TestGoldenEquivalence:
-    """The scenario-layer rewire of ``_autoscale_core`` is bit-identical.
+    """The composition root reproduces the original autoscale wiring.
 
-    These digests were captured from the pre-refactor wiring (manual
-    broker/fleet/agent/controller assembly inside ``_autoscale_core``)
-    with the sanitizer armed; the composition root must reproduce them
-    exactly.  If a deliberate change to assembly order makes these fail,
-    update them in the same commit and say why in the message.
+    These digests were captured from the hand-wired autoscale harness
+    (manual broker/fleet/agent/controller assembly, before the scenario
+    layer existed) with the sanitizer armed; a trace-replay ScenarioSpec
+    run by :class:`Deployment` must reproduce them exactly.  If a
+    deliberate change to assembly order makes these fail, update them in
+    the same commit and say why in the message.
     """
 
     GOLDEN = {
@@ -328,8 +363,9 @@ class TestGoldenEquivalence:
     }
 
     def spec(self, controller):
-        return AutoscaleSpec(
-            controller=controller, trace=sine_trace(150.0, 75.0, 0.25, 1.0),
+        return ScenarioSpec(
+            controller=controller, workload="trace",
+            trace=sine_trace(150.0, 75.0, 0.25, 1.0),
             max_users=400, seed=11, demand_scale=SCALE,
             models=scaled_models(),
         )
@@ -337,8 +373,9 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("controller", ["dcm", "ec2"])
     def test_digest_matches_pre_refactor_wiring(self, controller):
         with check_config.override(True):
-            run = _autoscale_core(self.spec(controller))
-        assert autoscale_digest(run) == self.GOLDEN[controller]
+            with Deployment(self.spec(controller)) as dep:
+                dep.run()
+        assert autoscale_digest(dep) == self.GOLDEN[controller]
 
 
 class TestScenarioCLI:
@@ -364,7 +401,9 @@ class TestScenarioCLI:
         assert "5.0" in capsys.readouterr().out
 
     def test_malformed_spec_is_a_config_error(self, tmp_path):
+        # A spec file missing required keys is a DCM-SCHEMA error naming
+        # the key, not a bare KeyError.
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "scenario"}')
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match="'hardware'"):
             main(["scenario", "run", str(path)])

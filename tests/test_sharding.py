@@ -272,8 +272,13 @@ class TestSchemaV4:
             duration=5.0,
         )
         text = spec.to_json()
-        assert json.loads(text)["schema"] == "repro-scenario/4"
+        assert json.loads(text)["schema"] == "repro-scenario/5"
         assert ScenarioSpec.from_json(text) == spec
+        # The same payload as written under v4 (no warmup) still loads.
+        obj = json.loads(text)
+        obj["schema"] = "repro-scenario/4"
+        del obj["warmup"]
+        assert ScenarioSpec.from_json_obj(obj) == spec
 
     def test_v3_payloads_still_accepted(self):
         spec = ScenarioSpec(workload="rubbos", users=10, duration=5.0)
