@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import PAPER_TABLE1, ground_truth_models
+from benchmarks.common import PAPER_TABLE1
 from repro.analysis import stability_report
 from repro.analysis.tables import render_series, render_sparkline, render_table
 from repro.analysis.timeseries import (
@@ -29,7 +29,7 @@ from repro.analysis.timeseries import (
     throughput_series,
 )
 from repro.control import ScalingPolicy
-from repro.model import estimate_scaling_correction
+from repro.model import estimate_scaling_correction, ground_truth_models
 from repro.ntier import CacheSpec, ShardingSpec, SoftResourceConfig
 from repro.ntier.contention import (
     MYSQL_CONTENTION,
@@ -484,35 +484,6 @@ def table1(ctx):
             "db.x_max": db.model.max_throughput(),
             "gamma_eff": gamma_eff,
         },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Kernel microbenchmarks (volatile: wall-clock rates)
-# ---------------------------------------------------------------------------
-
-def kernel(ctx):
-    from repro.perf import SCHEMA
-    from repro.perf.suite import render_report, run_suite
-
-    report = run_suite(quick=bool(ctx.params.get("quick", True)))
-    text = render_report(report)
-
-    assert report["schema"] == SCHEMA
-    for label in ("disarmed", "armed"):
-        rows = report["suites"][label]
-        for name in ("event-dispatch", "timeout-churn", "acquire-release",
-                     "condition-fanin", "fig5-autoscale"):
-            assert rows[name]["ops_per_sec"] > 0
-    assert report["headline"]["event_throughput"] > 0
-    assert report["headline"]["normalized"] > 0
-
-    return {
-        "text": text,
-        "data": report,
-        "metrics": {},
-        "type": "bench",
-        "volatile": True,
     }
 
 

@@ -35,9 +35,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Dict
-
-from repro.model import ConcurrencyModel
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 OUT_DIR = os.path.join(BENCH_DIR, "out")
@@ -83,30 +80,6 @@ def lab_experiment(name: str):
         reanalyze=True,
         strict=True,
     )
-
-
-def ground_truth_models(demand_scale: float = 1.0) -> Dict[str, ConcurrencyModel]:
-    """Analytic seed models derived from the calibrated ground truth.
-
-    Used by benches that are *not* about model training (Fig 5, ablations)
-    to avoid paying the training sweep inside every harness; the Table I
-    bench performs and validates the real training.  Demands scale with
-    ``demand_scale``; knees are invariant.
-    """
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * demand_scale,
-            alpha=9.87e-3 / 11.03 * demand_scale,
-            beta=4.54e-5 / 11.03 * demand_scale,
-            tier="app",
-        ),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * demand_scale,
-            alpha=5.04e-3 / 4.45 * demand_scale,
-            beta=1.65e-6 / 4.45 * demand_scale,
-            tier="db",
-        ),
-    }
 
 
 def once(benchmark, fn):

@@ -1,9 +1,10 @@
 """The paper benchmark suite — the one source of the lab manifest.
 
 :func:`build_suite` names the spec builders and analyses in
-:mod:`benchmarks.analyses` (one experiment per paper figure/table) plus
-the two tiny ``quick``-tagged smoke experiments CI runs on every PR.
-``repro lab run`` builds the manifest from this file directly::
+:mod:`benchmarks.analyses` (one experiment per paper figure/table), the
+``million_users`` scale run, and the two tiny ``quick``-tagged smoke
+experiments CI runs on every PR.  ``repro lab run`` builds the manifest
+from this file directly::
 
     repro lab run benchmarks/suite.py --tags quick
 """
@@ -28,6 +29,7 @@ from repro.lab import (  # noqa: E402
     SuiteManifest,
 )
 from repro.scenario import ScenarioSpec  # noqa: E402
+from repro.workload import large_variation  # noqa: E402
 
 #: (experiment name, spec builder, analysis params, artifact name, title);
 #: experiment ``x`` is analysed by ``benchmarks.analyses:x``.
@@ -44,8 +46,6 @@ PAPER_EXPERIMENTS = (
      "Fig 5: DCM vs EC2-AutoScale under the Large Variation trace"),
     ("table1", A.table1_specs, {}, "table1_model_training",
      "Table I: concurrency-aware model training and prediction"),
-    ("kernel", list, {}, "kernel_microbenchmarks",
-     "Kernel microbenchmarks (simulator speed; volatile)"),
     ("overprovision", A.overprovision_specs, {}, "ablation_overprovision",
      "Ablation: static over-provisioning vs DCM"),
     ("ablation_policy", A.ablation_policy_specs, {}, "ablation_policy",
@@ -81,6 +81,16 @@ def smoke_resilience_specs():
     )]
 
 
+def million_users_specs():
+    """The Large Variation trace replayed by 10⁶ users through a batched
+    population, with monitoring off: the simulator's scale claim."""
+    return [ScenarioSpec(
+        hardware="1/1/1", soft="1000/100/80", seed=0, monitoring=False,
+        workload="batched-trace", max_users=1_000_000, think_time=3.0,
+        trace=large_variation(), batches=8, window=1000,
+    )]
+
+
 def build_suite() -> SuiteManifest:
     experiments = [
         ExperimentEntry(
@@ -94,6 +104,13 @@ def build_suite() -> SuiteManifest:
         for name, build, params, artifact, title in PAPER_EXPERIMENTS
     ]
     experiments += [
+        ExperimentEntry(
+            name="million_users",
+            specs=tuple(million_users_specs()),
+            analyses=(AnalysisStep(analysis="scenario_report",
+                                   name="million_users_report"),),
+            title="Scale: the Large Variation trace at 10^6 users",
+        ),
         ExperimentEntry(
             name="smoke_steady",
             specs=tuple(smoke_steady_specs()),

@@ -21,7 +21,7 @@ import sys
 from repro.analysis import stability_report
 from repro.analysis.tables import render_sparkline, render_table
 from repro.analysis.timeseries import response_time_series
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.runner import trained_models
 from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import large_variation, sine_trace
@@ -29,25 +29,12 @@ from repro.workload import large_variation, sine_trace
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
 
 
-def analytic_models(scale: float) -> dict:
-    """Table-I ground-truth models rescaled to ``demand_scale`` (the quick
-    path: skips the ~2 min offline training sweep)."""
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * scale, alpha=9.87e-3 / 11.03 * scale,
-            beta=4.54e-5 / 11.03 * scale, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * scale, alpha=5.04e-3 / 4.45 * scale,
-            beta=1.65e-6 / 4.45 * scale, tier="db"),
-    }
-
-
 def main() -> None:
     if QUICK:
         scale = 8.0
         trace = sine_trace(120.0, 60.0, 0.3, 0.9)
         max_users = 300
-        models = analytic_models(scale)
+        models = ground_truth_models(scale)
     else:
         scale = float(sys.argv[2]) if len(sys.argv) > 2 else 4.0
         max_users = int(sys.argv[1]) if len(sys.argv) > 1 else int(5920 / scale)

@@ -18,23 +18,12 @@ import os
 
 from repro.analysis import stability_report
 from repro.analysis.tables import render_table
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import WorkloadTrace
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
 SCALE = 8.0 if QUICK else 4.0
-
-
-def scaled_models():
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * SCALE, alpha=9.87e-3 / 11.03 * SCALE,
-            beta=4.54e-5 / 11.03 * SCALE, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * SCALE, alpha=5.04e-3 / 4.45 * SCALE,
-            beta=1.65e-6 / 4.45 * SCALE, tier="db"),
-    }
 
 
 def main() -> None:
@@ -45,7 +34,7 @@ def main() -> None:
     else:
         trace = WorkloadTrace((0.0, 30.0, 150.0, 210.0), (0.25, 0.25, 1.0, 1.0))
         max_users = 1400
-    models = scaled_models()
+    models = ground_truth_models(SCALE)
     runs = {}
     for kind in ("dcm", "predictive"):
         print(f"running {kind} on a steady ramp ...")

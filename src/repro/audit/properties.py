@@ -480,8 +480,7 @@ def _gen_scenario(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_scenario(params: Dict[str, Any], seed: int, **_: Any) -> PropertyResult:
-    import hashlib
-
+    from repro.lab.store import payload_digest
     from repro.scenario import Deployment, ScenarioSpec
 
     controller = None if params["controller"] == "none" else str(params["controller"])
@@ -503,9 +502,7 @@ def _check_scenario(params: Dict[str, Any], seed: int, **_: Any) -> PropertyResu
         with Deployment(spec) as dep:
             dep.run()
         completed = dep.system.completed_count()
-        log = json.dumps(dep.system.request_log, sort_keys=True,
-                         separators=(",", ":"))
-        digests.append(hashlib.sha256(log.encode("utf-8")).hexdigest())
+        digests.append(payload_digest(dep.system.request_log))
     if digests[0] != digests[1]:
         failures.append(
             f"same spec, different request logs: {digests[0][:12]} vs "

@@ -45,12 +45,6 @@ Gives operators the library's main entry points without writing Python:
     ``--properties fault_conservation``).  ``repro audit replay
     SPEC`` re-checks a saved spec file or a directory of them (e.g. the
     committed ``tests/audit_corpus/``).
-``perf``
-    Kernel microbenchmarks (event dispatch, timeout churn, pool cycles,
-    condition fan-in, a Fig-5-shaped autoscale run), armed and disarmed,
-    written to ``BENCH_kernel.json``.  ``--baseline FILE`` compares the
-    machine-normalized event throughput against a committed report and
-    exits 1 on a regression beyond ``--tolerance`` (default 25%).
 ``lab``
     Manifest-driven experiment suites on the content-addressed artifact
     store (:mod:`repro.lab`).  ``repro lab run benchmarks/suite.py -k
@@ -302,32 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(comma-separated; default: the full weighted mix)",
     )
     engine(p)
-
-    p = sub.add_parser(
-        "perf", help="kernel microbenchmarks -> BENCH_kernel.json"
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="smaller op counts / fewer repetitions (the CI setting)",
-    )
-    p.add_argument(
-        "--out", default="BENCH_kernel.json", metavar="FILE",
-        help="report path (default BENCH_kernel.json)",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE",
-        help="compare against this committed report; exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRAC",
-        help="allowed fractional drop in normalized event throughput "
-             "(default 0.25)",
-    )
-    p.add_argument(
-        "--store", metavar="DIR",
-        help="also record the report in this lab artifact store "
-             "(volatile bench artifact)",
-    )
 
     p = sub.add_parser(
         "lab", help="manifest-driven suites on the artifact store"
@@ -742,33 +710,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        compare_reports, load_report, render_report, run_suite, save_report,
-    )
-
-    # Load the baseline first: a stale schema fails before the long run.
-    baseline = load_report(args.baseline) if args.baseline else None
-    report = run_suite(quick=args.quick)
-    print(render_report(report))
-    save_report(report, args.out)
-    print(f"report written to {args.out}")
-    if args.store:
-        from repro.lab import ArtifactStore
-        from repro.perf.suite import record_report
-
-        key = record_report(report, ArtifactStore(args.store))
-        print(f"recorded in lab store {args.store} as {key[:12]}...")
-    if baseline is not None:
-        problems = compare_reports(report, baseline, tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"within {args.tolerance:.0%} of baseline {args.baseline}")
-    return 0
-
-
 def _lab_store_dir(args: argparse.Namespace) -> str:
     return args.store or default_cache_dir()
 
@@ -889,7 +830,6 @@ _COMMANDS = {
     "lint": cmd_lint,
     "check": cmd_check,
     "audit": cmd_audit,
-    "perf": cmd_perf,
     "lab": cmd_lab,
 }
 

@@ -8,7 +8,7 @@ The lab layer turns the benchmark/analysis stack declarative:
   analysis steps, and cross-experiment comparisons; built from a suite
   ``.py`` file or read from JSON.
 - :mod:`repro.lab.store` — typed content-addressed store for all derived
-  outputs (point results, tables, reports, bench JSON), keyed by
+  outputs (point results, tables, figure data, reports), keyed by
   ``sha256(producer-spec + inputs + version)``, with per-run provenance
   indexes and garbage collection; the engine reads and writes it
   directly.

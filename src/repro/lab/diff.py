@@ -17,9 +17,8 @@ Classification:
     store's object is missing or its payload no longer hashes to the
     recorded digest — i.e. the stored artifact was tampered with or
     corrupted after the runs.  A real delta.
-``volatile`` / ``rekeyed``
-    Informational notes, never deltas: volatile artifacts (wall-clock
-    bench timings) are expected to differ; a digest-identical artifact
+``rekeyed``
+    An informational note, never a delta: a digest-identical artifact
     under a different key just crossed a version bump.
 """
 
@@ -172,12 +171,6 @@ def diff_runs(
                     experiment=experiment, artifact=artifact,
                     kind="integrity", detail=problem,
                 ))
-            continue
-        if rec_a.get("volatile") or rec_b.get("volatile"):
-            report.notes.append(Delta(
-                experiment=experiment, artifact=artifact, kind="volatile",
-                detail="volatile payload differs (expected)",
-            ))
             continue
         report.deltas.append(Delta(
             experiment=experiment, artifact=artifact, kind="changed",

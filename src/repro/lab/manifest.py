@@ -123,8 +123,7 @@ class AnalysisStep:
 class ExperimentEntry:
     """One named experiment: specs to execute + analyses over their values.
 
-    ``specs`` may be empty for analysis-only experiments (e.g. the kernel
-    microbenchmark suite, which measures the simulator itself, or the
+    ``specs`` may be empty for analysis-only experiments (e.g. the
     Fig 2(a) stress harness, whose parameters are analysis params);
     ``analyses`` must not be empty — an experiment that records no
     artifact leaves nothing to cache, compare, or diff.

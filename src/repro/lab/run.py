@@ -22,12 +22,14 @@ stored as typed artifacts and their ``text`` is written to
 
 Every run writes a provenance index (``runs/<run_id>/index.json``,
 schema ``repro-lab-run/1``) recording spec keys, artifact keys, payload
-digests and metrics — the input to :func:`repro.lab.diff.diff_runs`.
+digests and metrics — the input to :func:`repro.lab.diff.diff_runs` —
+plus each experiment's host seconds, which the differ ignores.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -52,6 +54,7 @@ class ExperimentResult:
     points_misses: int = 0
     analyses_hits: int = 0
     analyses_misses: int = 0
+    #: Host seconds from the experiment's start to its end, analyses included.
     wall_seconds: float = 0.0
 
 
@@ -96,8 +99,8 @@ def _emit_text(out_dir: str, name: str, text: str, quiet: bool) -> None:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n")
 
 
-def _normalize_payload(raw: Any, step_name: str) -> Tuple[Dict[str, Any], str, bool]:
-    """Validate an analysis return; -> (payload, artifact type, volatile)."""
+def _normalize_payload(raw: Any, step_name: str) -> Tuple[Dict[str, Any], str]:
+    """Validate an analysis return; -> (payload, artifact type)."""
     if not isinstance(raw, dict):
         raise ConfigurationError(
             f"analysis {step_name!r} must return a dict payload, "
@@ -106,7 +109,7 @@ def _normalize_payload(raw: Any, step_name: str) -> Tuple[Dict[str, Any], str, b
     payload = {k: raw[k] for k in _PAYLOAD_KEYS if raw.get(k) is not None}
     if "metrics" not in payload:
         payload["metrics"] = {}
-    return payload, raw.get("type", "table"), bool(raw.get("volatile", False))
+    return payload, raw.get("type", "table")
 
 
 def _analysis_producer(
@@ -123,14 +126,93 @@ def _analysis_producer(
     }
 
 
-def _record(key: str, payload: Dict[str, Any], type: str, volatile: bool) -> Dict[str, Any]:
+def _record(key: str, payload: Dict[str, Any], type: str) -> Dict[str, Any]:
     return {
         "key": key,
         "type": type,
-        "volatile": volatile,
         "sha256": payload_digest(payload),
         "metrics": dict(payload.get("metrics", {})),
     }
+
+
+def _run_experiment(
+    suite: str,
+    entry: ExperimentEntry,
+    *,
+    store: Optional[ArtifactStore],
+    out_dir: str,
+    jobs: int,
+    reanalyze: bool,
+    strict: bool,
+    quiet: bool,
+) -> ExperimentResult:
+    """One experiment: answered from the store, or its specs run and its
+    analyses applied."""
+    from repro.runner import run_many
+
+    result = ExperimentResult(name=entry.name)
+    steps = [
+        (step, _analysis_producer(suite, entry, step))
+        for step in entry.analyses
+    ]
+    keys = {step.artifact_name: artifact_key(producer)
+            for step, producer in steps}
+
+    if store is not None and not reanalyze:
+        cached_entries = {
+            name: store.get(key) for name, key in keys.items()
+        }
+        if all(e is not None for e in cached_entries.values()):
+            for (step, _producer) in steps:
+                name = step.artifact_name
+                entry_obj = cached_entries[name]
+                payload = entry_obj["payload"]
+                result.artifacts[name] = _record(
+                    keys[name], payload, entry_obj.get("type", "table"),
+                )
+                result.analyses_hits += 1
+                text = payload.get("text")
+                if isinstance(text, str):
+                    _emit_text(out_dir, name, text, quiet)
+            result.status = "cached"
+            return result
+
+    try:
+        engine_result = run_many(entry.specs, jobs=jobs, store=store)
+        telemetry = engine_result.telemetry
+        result.points_hits += telemetry.cache_hits
+        result.points_misses += telemetry.cache_misses
+        if entry.specs and not quiet:
+            print(f"\n{telemetry.render()}\n")
+        ctx_base = dict(
+            suite=suite,
+            experiment=entry.name,
+            specs=entry.specs,
+            values=engine_result.value,
+            store=store,
+            jobs=jobs,
+        )
+        for step, producer in steps:
+            ctx = AnalysisContext(params=step.params_dict(), **ctx_base)
+            payload, art_type = _normalize_payload(
+                resolve_analysis(step.analysis)(ctx), step.analysis
+            )
+            key = keys[step.artifact_name]
+            if store is not None:
+                store.put(key, payload, producer=producer, type=art_type)
+            result.analyses_misses += 1
+            result.artifacts[step.artifact_name] = _record(
+                key, payload, art_type
+            )
+            text = payload.get("text")
+            if isinstance(text, str):
+                _emit_text(out_dir, step.artifact_name, text, quiet)
+    except Exception as err:  # noqa: BLE001 - recorded per experiment
+        if strict:
+            raise
+        result.status = "failed"
+        result.error = f"{type(err).__name__}: {err}"
+    return result
 
 
 def run_suite(
@@ -155,81 +237,19 @@ def run_suite(
     (assertion errors included) instead of recording it.  With no
     ``store_dir`` nothing is read from or written to any store.
     """
-    from repro.runner import run_many
-
     if keyword or tags:
         manifest = manifest.select(keyword=keyword, tags=tags)
     store = ArtifactStore(store_dir) if store_dir else None
     results: Dict[str, ExperimentResult] = {}
 
     for entry in manifest.experiments:
-        result = ExperimentResult(name=entry.name)
+        start = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
+        result = _run_experiment(
+            manifest.name, entry, store=store, out_dir=out_dir, jobs=jobs,
+            reanalyze=reanalyze, strict=strict, quiet=quiet,
+        )
+        result.wall_seconds = time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
         results[entry.name] = result
-        steps = [
-            (step, _analysis_producer(manifest.name, entry, step))
-            for step in entry.analyses
-        ]
-        keys = {step.artifact_name: artifact_key(producer)
-                for step, producer in steps}
-
-        if store is not None and not reanalyze:
-            cached_entries = {
-                name: store.get(key) for name, key in keys.items()
-            }
-            if all(e is not None for e in cached_entries.values()):
-                for (step, _producer) in steps:
-                    name = step.artifact_name
-                    entry_obj = cached_entries[name]
-                    payload = entry_obj["payload"]
-                    result.artifacts[name] = _record(
-                        keys[name], payload, entry_obj.get("type", "table"),
-                        entry_obj.get("volatile", False),
-                    )
-                    result.analyses_hits += 1
-                    text = payload.get("text")
-                    if isinstance(text, str):
-                        _emit_text(out_dir, name, text, quiet)
-                result.status = "cached"
-                continue
-
-        try:
-            engine_result = run_many(entry.specs, jobs=jobs, store=store)
-            telemetry = engine_result.telemetry
-            result.points_hits += telemetry.cache_hits
-            result.points_misses += telemetry.cache_misses
-            result.wall_seconds += telemetry.wall_seconds
-            if entry.specs and not quiet:
-                print(f"\n{telemetry.render()}\n")
-            ctx_base = dict(
-                suite=manifest.name,
-                experiment=entry.name,
-                specs=entry.specs,
-                values=engine_result.value,
-                store=store,
-                jobs=jobs,
-            )
-            for step, producer in steps:
-                ctx = AnalysisContext(params=step.params_dict(), **ctx_base)
-                payload, art_type, volatile = _normalize_payload(
-                    resolve_analysis(step.analysis)(ctx), step.analysis
-                )
-                key = keys[step.artifact_name]
-                if store is not None:
-                    store.put(key, payload, producer=producer,
-                              type=art_type, volatile=volatile)
-                result.analyses_misses += 1
-                result.artifacts[step.artifact_name] = _record(
-                    key, payload, art_type, volatile
-                )
-                text = payload.get("text")
-                if isinstance(text, str):
-                    _emit_text(out_dir, step.artifact_name, text, quiet)
-        except Exception as err:  # noqa: BLE001 - recorded per experiment
-            if strict:
-                raise
-            result.status = "failed"
-            result.error = f"{type(err).__name__}: {err}"
-            continue
 
     # -- comparisons ---------------------------------------------------------
     comparison_records: Dict[str, Dict[str, Any]] = {}
@@ -263,8 +283,7 @@ def run_suite(
         cached = store.get(key) if (store and not reanalyze) else None
         if cached is not None:
             payload = cached["payload"]
-            record = _record(key, payload, cached.get("type", "report"),
-                             cached.get("volatile", False))
+            record = _record(key, payload, cached.get("type", "report"))
             record["status"] = "cached"
         else:
             ctx = CompareContext(
@@ -278,13 +297,12 @@ def run_suite(
                 },
                 params=comparison.params_dict(),
             )
-            payload, art_type, volatile = _normalize_payload(
+            payload, art_type = _normalize_payload(
                 resolve_analysis(comparison.analysis)(ctx), comparison.analysis
             )
             if store is not None:
-                store.put(key, payload, producer=producer,
-                          type=art_type, volatile=volatile)
-            record = _record(key, payload, art_type, volatile)
+                store.put(key, payload, producer=producer, type=art_type)
+            record = _record(key, payload, art_type)
             record["status"] = "ok"
         text = payload.get("text")
         if isinstance(text, str):
@@ -319,6 +337,7 @@ def run_suite(
                     "misses": results[entry.name].analyses_misses,
                 },
                 "artifacts": results[entry.name].artifacts,
+                "wall_seconds": round(results[entry.name].wall_seconds, 3),
             }
             for entry in manifest.experiments
         },

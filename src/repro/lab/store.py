@@ -1,8 +1,8 @@
 """Content-addressed artifact store — the lab's durable memory.
 
 A typed CAS for *every* derived output: point results (written by the
-engine, :mod:`repro.runner.engine`), rendered tables, figure data, bench
-JSON, comparison reports.  Each artifact lives in one JSON file
+engine, :mod:`repro.runner.engine`), rendered tables, figure data,
+comparison reports.  Each artifact lives in one JSON file
 ``objects/<key>.json`` under the store root, where
 
     key = sha256(canonical producer JSON + "\\0" input key ... + "\\0" + version)
@@ -19,8 +19,8 @@ layout the pre-lab point cache used).
 Entries are self-describing::
 
     {"schema": "repro-lab-artifact/1", "version": "1.0.0",
-     "key": "<sha256>", "type": "point" | "table" | "figure" | "bench" | "report",
-     "volatile": false, "producer": {...}, "payload": {...}}
+     "key": "<sha256>", "type": "point" | "table" | "figure" | "report" | "blob",
+     "producer": {...}, "payload": {...}}
 
 Robustness contract (regression-tested): truncated or garbage JSON reads
 as a miss; an entry whose stored ``key`` or ``version`` mismatches what
@@ -51,7 +51,7 @@ ARTIFACT_SCHEMA = "repro-lab-artifact/1"
 RUN_SCHEMA = "repro-lab-run/1"
 
 #: Artifact types the store accepts.
-ARTIFACT_TYPES = ("point", "table", "figure", "bench", "report", "blob")
+ARTIFACT_TYPES = ("point", "table", "figure", "report", "blob")
 
 _HEX_NAME = re.compile(r"^[0-9a-f]{64}\.json$")
 
@@ -143,7 +143,6 @@ class ArtifactStore:
         *,
         producer: Any = None,
         type: str = "blob",
-        volatile: bool = False,
     ) -> Dict[str, Any]:
         """Atomically persist one artifact (write-to-temp + rename).
 
@@ -164,7 +163,6 @@ class ArtifactStore:
             "version": __version__,
             "key": key,
             "type": type,
-            "volatile": bool(volatile),
             "producer": producer,
             "payload": payload,
         }
@@ -188,11 +186,10 @@ class ArtifactStore:
         *,
         inputs: Sequence[str] = (),
         type: str = "blob",
-        volatile: bool = False,
     ) -> str:
         """Key the artifact from its provenance, store it, return the key."""
         key = artifact_key(producer, inputs)
-        self.put(key, payload, producer=producer, type=type, volatile=volatile)
+        self.put(key, payload, producer=producer, type=type)
         return key
 
     # -- runs ----------------------------------------------------------------

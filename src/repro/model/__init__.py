@@ -35,7 +35,7 @@ from repro.model.predictor import (
     predict_operating_point,
     specs_from_system,
 )
-from repro.model.service_time import ConcurrencyModel
+from repro.model.service_time import ConcurrencyModel, ground_truth_models
 
 __all__ = [
     "AllocationPlan",
@@ -55,6 +55,7 @@ __all__ = [
     "estimate_scaling_correction",
     "fit_concurrency_model",
     "forced_flow",
+    "ground_truth_models",
     "mmc_metrics",
     "interactive_response_time",
     "littles_law_population",

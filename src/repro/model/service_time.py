@@ -137,3 +137,27 @@ class ConcurrencyModel:
             gamma=gamma,
             tier=self.tier,
         )
+
+
+def ground_truth_models(demand_scale: float = 1.0) -> dict[str, ConcurrencyModel]:
+    """The paper's Table-I app and db models, rescaled to ``demand_scale``.
+
+    Each tier's (S0, alpha, beta) is divided by its Table-I gamma and
+    multiplied by ``demand_scale``, so runs that are not about model
+    training can seed DCM without a training sweep.  Demands scale with
+    ``demand_scale``; the knees are invariant.
+    """
+    return {
+        "app": ConcurrencyModel(
+            s0=2.84e-2 / 11.03 * demand_scale,
+            alpha=9.87e-3 / 11.03 * demand_scale,
+            beta=4.54e-5 / 11.03 * demand_scale,
+            tier="app",
+        ),
+        "db": ConcurrencyModel(
+            s0=7.19e-3 / 4.45 * demand_scale,
+            alpha=5.04e-3 / 4.45 * demand_scale,
+            beta=1.65e-6 / 4.45 * demand_scale,
+            tier="db",
+        ),
+    }

@@ -17,21 +17,10 @@ from repro.analysis.persistence import (
 )
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.workload import WorkloadTrace
 
 SCALE = 8.0
-
-
-def scaled_models():
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * SCALE, alpha=9.87e-3 / 11.03 * SCALE,
-            beta=4.54e-5 / 11.03 * SCALE, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * SCALE, alpha=5.04e-3 / 4.45 * SCALE,
-            beta=1.65e-6 / 4.45 * SCALE, tier="db"),
-    }
 
 
 class TestParser:
@@ -155,7 +144,7 @@ class TestPersistence:
         trace = WorkloadTrace((0.0, 15.0, 25.0, 60.0, 90.0), (0.3, 0.3, 0.9, 0.9, 0.4))
         spec = ScenarioSpec(
             controller="dcm", workload="trace", trace=trace, max_users=520,
-            seed=4, demand_scale=SCALE, models=scaled_models(),
+            seed=4, demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         with Deployment(spec) as dep:
             dep.run()
@@ -222,72 +211,6 @@ class TestPersistence:
         pairs = compare_runs([p1, p2])
         assert [name for name, _ in pairs] == ["dcm", "dcm"]
         assert pairs[0][1]["completed"] == pairs[1][1]["completed"]
-
-
-class TestPerfCommand:
-    @staticmethod
-    def _fake_report(normalized=1.0):
-        row = {"ops": 100, "seconds": 0.001, "ops_per_sec": 100_000.0}
-        scenarios = ("event-dispatch", "timeout-churn", "acquire-release",
-                     "condition-fanin", "fig5-autoscale")
-        from repro.perf import suite
-        return {
-            "schema": suite.SCHEMA,
-            "quick": True,
-            "python": "0",
-            "platform": "test",
-            "calibration_mops": 1.0,
-            "suites": {label: {name: dict(row) for name in scenarios}
-                       for label in ("disarmed", "armed")},
-            "headline": {"event_throughput": 100_000.0,
-                         "normalized": normalized},
-        }
-
-    @pytest.fixture
-    def fake_suite(self, monkeypatch):
-        import repro.perf as perf
-        monkeypatch.setattr(
-            perf, "run_suite", lambda quick=False: self._fake_report(0.9)
-        )
-
-    def test_perf_writes_report(self, capsys, tmp_path, fake_suite):
-        out_path = str(tmp_path / "bench.json")
-        code = main(["perf", "--quick", "--out", out_path])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "kernel microbenchmarks" in out
-        from repro.perf import suite
-        data = json.loads(open(out_path).read())
-        assert data["schema"] == suite.SCHEMA
-
-    def test_perf_gate_passes_within_tolerance(self, capsys, tmp_path,
-                                               fake_suite):
-        from repro.perf import save_report
-        baseline = str(tmp_path / "base.json")
-        save_report(self._fake_report(1.0), baseline)
-        code = main(["perf", "--out", str(tmp_path / "bench.json"),
-                     "--baseline", baseline])
-        assert code == 0
-        assert "within 25%" in capsys.readouterr().out
-
-    def test_perf_gate_fails_on_regression(self, capsys, tmp_path,
-                                           fake_suite):
-        from repro.perf import save_report
-        baseline = str(tmp_path / "base.json")
-        save_report(self._fake_report(2.0), baseline)
-        code = main(["perf", "--out", str(tmp_path / "bench.json"),
-                     "--baseline", baseline])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "PERF REGRESSION" in captured.err
-
-    def test_perf_gate_tolerance_flag(self, capsys, tmp_path, fake_suite):
-        from repro.perf import save_report
-        baseline = str(tmp_path / "base.json")
-        save_report(self._fake_report(1.0), baseline)
-        code = main(["perf", "--out", str(tmp_path / "bench.json"),
-                     "--baseline", baseline, "--tolerance", "0.05"])
-        assert code == 1
 
 
 class TestAuditCommand:

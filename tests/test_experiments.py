@@ -11,7 +11,7 @@ of :class:`~repro.scenario.ScenarioSpec` objects run through the engine
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.runner import (
     DB_TRAINING_LEVELS,
@@ -36,17 +36,6 @@ def _trace_run(controller, **fields):
     """One controller replaying a trace: the stopped deployment."""
     spec = ScenarioSpec(controller=controller, workload="trace", **fields)
     return run(spec).value
-
-
-def scaled_models():
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * SCALE, alpha=9.87e-3 / 11.03 * SCALE,
-            beta=4.54e-5 / 11.03 * SCALE, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * SCALE, alpha=5.04e-3 / 4.45 * SCALE,
-            beta=1.65e-6 / 4.45 * SCALE, tier="db"),
-    }
 
 
 class TestBuildAndMeasure:
@@ -164,7 +153,7 @@ class TestAutoscaleRunner:
     def test_ec2_run_end_to_end(self):
         dep = _trace_run(
             "ec2", trace=self._trace(), max_users=520, seed=4,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         assert dep.spec.controller == "ec2"
         assert dep.duration == 140.0
@@ -178,7 +167,7 @@ class TestAutoscaleRunner:
     def test_dcm_run_applies_concurrency_management(self):
         dep = _trace_run(
             "dcm", trace=self._trace(), max_users=520, seed=4,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         assert dep.app_agent is not None
         applies = [a for a in dep.app_agent.actions if a.action == "apply"]
@@ -195,13 +184,13 @@ class TestAutoscaleRunner:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(
                 controller="magic", workload="trace", trace=self._trace(),
-                max_users=10, models=scaled_models(),
+                max_users=10, models=ground_truth_models(SCALE),
             )
 
     def test_runs_are_deterministic_per_seed(self):
         kwargs = dict(
             controller="dcm", trace=self._trace(), max_users=260, seed=9,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         a = _trace_run(**kwargs)
         b = _trace_run(**kwargs)

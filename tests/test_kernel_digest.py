@@ -1,6 +1,6 @@
 """Same-seed digest regression for the kernel.
 
-Pins the Fig-5-shaped autoscale scenario (``repro.perf.fig5_scenario``)
+Pins the Fig-5-shaped autoscale scenario (``tests.golden.fig5_scenario``)
 bit-for-bit: any change to event ordering, RNG consumption, clock
 arithmetic, or pool accounting shows up as a digest mismatch here before
 it silently skews every experiment.  The digest must also be *identical*
@@ -12,7 +12,7 @@ If a kernel change is *intentionally* allowed to reorder events, update
 """
 
 from repro.check import config as check_config
-from repro.perf import autoscale_digest, digest_payload, run_fig5
+from tests.golden import autoscale_digest, digest_payload, run_fig5
 
 GOLDEN = "958f80c00bfe4503b5275826641a6242dc88fb68bb62f11379c5481dc49a8842"
 

@@ -8,6 +8,7 @@ flip the diff to an integrity delta.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -70,7 +71,7 @@ class TestStore:
         entry = store.get(key)
         assert entry["payload"] == payload
         assert entry["type"] == "table"
-        assert not entry["volatile"]
+        assert "volatile" not in entry
         assert store.has(key)
 
     def test_missing_and_garbage_are_misses(self, tmp_path):
@@ -245,6 +246,16 @@ class TestCommittedSuite:
         assert manifest.experiment("fig2a").specs == ()
 
 
+def points_run_by_analysis(ctx):
+    """An analysis that runs its own point (as the Fig 2(a) harness does)
+    and reports how long it took."""
+    from repro.runner import run_many
+
+    start = time.perf_counter()
+    run_many([tiny_spec()], jobs=ctx.jobs, store=ctx.store)
+    return {"metrics": {"analysis_seconds": time.perf_counter() - start}}
+
+
 class TestRunAndDiff:
     def run_twice(self, tmp_path, manifest):
         kwargs = dict(
@@ -335,6 +346,28 @@ class TestRunAndDiff:
         )
         assert suite_run.ok and suite_run.store is None
         assert os.listdir(default) == []
+
+    def test_wall_seconds_covers_the_analysis(self, tmp_path):
+        manifest = SuiteManifest(
+            name="self-run",
+            experiments=(ExperimentEntry(
+                name="own_points",
+                analyses=(AnalysisStep(
+                    "tests.test_lab:points_run_by_analysis", name="own"),),
+            ),),
+        )
+        suite_run = run_suite(
+            manifest, out_dir=str(tmp_path / "out"),
+            store_dir=str(tmp_path / "store"), strict=True, quiet=True,
+        )
+        result = suite_run.results["own_points"]
+        analysis_seconds = result.artifacts["own"]["metrics"]["analysis_seconds"]
+        # The engine ran no spec; the time is the analysis's own points.
+        assert result.points_hits == result.points_misses == 0
+        assert result.wall_seconds >= analysis_seconds > 0
+        record = suite_run.index["experiments"]["own_points"]
+        assert record["wall_seconds"] == round(result.wall_seconds, 3)
+        assert suite_run.index["telemetry"]["wall_seconds"] == record["wall_seconds"]
 
     def test_failed_analysis_recorded_not_raised(self, tmp_path):
         manifest = SuiteManifest(
@@ -427,22 +460,3 @@ class TestArtifactHelpers:
         assert default_cache_dir() == str(
             tmp_path / "benchmarks" / "out" / ".cache"
         )
-
-    def test_perf_record_report(self, tmp_path):
-        from repro.perf.suite import record_report
-
-        store = ArtifactStore(str(tmp_path))
-        report = {
-            "schema": "repro-bench/2", "quick": True, "python": "3.11",
-            "platform": "test", "calibration_mops": 1.0,
-            "suites": {"disarmed": {}, "armed": {}}, "scale": {},
-            "headline": {"event_throughput": 10.0, "normalized": 0.5,
-                         "scale_normalized": 0.25},
-        }
-        key = record_report(report, store)
-        entry = store.get(key)
-        assert entry["type"] == "bench"
-        assert entry["volatile"]
-        assert entry["payload"]["metrics"]["normalized"] == 0.5
-        # Same host+mode overwrite the same slot.
-        assert record_report(dict(report), store) == key

@@ -4,7 +4,7 @@ import pytest
 
 from repro.control import PredictiveDCMController, TrendForecaster
 from repro.errors import ConfigurationError
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import WorkloadTrace
 
@@ -18,17 +18,6 @@ def run_autoscale(controller, trace, **kwargs):
     with Deployment(spec) as dep:
         dep.run()
     return dep
-
-
-def scaled_models():
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * SCALE, alpha=9.87e-3 / 11.03 * SCALE,
-            beta=4.54e-5 / 11.03 * SCALE, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * SCALE, alpha=5.04e-3 / 4.45 * SCALE,
-            beta=1.65e-6 / 4.45 * SCALE, tier="db"),
-    }
 
 
 class TestTrendForecaster:
@@ -88,7 +77,7 @@ class TestPredictiveController:
     def test_predictive_scales_earlier_than_reactive(self):
         common = dict(
             trace=self._ramp_trace(), max_users=560, seed=6,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         reactive = run_autoscale("dcm", **common)
         predictive = run_autoscale("predictive", **common)
@@ -114,7 +103,7 @@ class TestPredictiveController:
     def test_predictive_inherits_concurrency_management(self):
         run = run_autoscale(
             "predictive", self._ramp_trace(), max_users=560, seed=6,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         applies = [a for a in run.app_agent.actions if a.action == "apply"]
         assert applies, "level 2 must still re-allocate soft resources"
@@ -124,7 +113,7 @@ class TestPredictiveController:
         flat = WorkloadTrace((0.0, 100.0), (0.3, 0.3))
         run = run_autoscale(
             "predictive", flat, max_users=560, seed=6,
-            demand_scale=SCALE, models=scaled_models(),
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         assert run.controller.predictive_scaleouts == 0
         assert len(run.system.active_servers("db")) == 1

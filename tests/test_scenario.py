@@ -13,11 +13,10 @@ from repro.check import config as check_config
 from repro.cli import main
 from repro.control import ScalingPolicy
 from repro.errors import ConfigurationError, SchemaError
-from repro.model import ConcurrencyModel
+from repro.model import ground_truth_models
 from repro.monitor import TierStats
 from repro.ntier import HardwareConfig
 from repro.ntier.contention import ContentionModel
-from repro.perf import autoscale_digest
 from repro.scenario import (
     CONTROLLERS,
     SCHEMA,
@@ -33,19 +32,9 @@ from repro.scenario import (
     workload_names,
 )
 from repro.workload import WorkloadTrace, sine_trace
+from tests.golden import autoscale_digest
 
 SCALE = 8.0
-
-
-def scaled_models():
-    return {
-        "app": ConcurrencyModel(
-            s0=2.84e-2 / 11.03 * SCALE, alpha=9.87e-3 / 11.03 * SCALE,
-            beta=4.54e-5 / 11.03 * SCALE, tier="app"),
-        "db": ConcurrencyModel(
-            s0=7.19e-3 / 4.45 * SCALE, alpha=5.04e-3 / 4.45 * SCALE,
-            beta=1.65e-6 / 4.45 * SCALE, tier="db"),
-    }
 
 
 def rich_spec():
@@ -64,7 +53,7 @@ def rich_spec():
         collector_history=300,
         controller="dcm",
         policy=ScalingPolicy(control_period=10.0),
-        models=scaled_models(),
+        models=ground_truth_models(SCALE),
         online_refit=False,
         preparation_periods={"app": 2.0, "db": 3.0},
         workload="trace",
@@ -87,7 +76,7 @@ class TestSpecRoundTrip:
 
     def test_dict_fields_frozen_to_sorted_tuples(self):
         spec = rich_spec()
-        assert spec.models == tuple(sorted(scaled_models().items()))
+        assert spec.models == tuple(sorted(ground_truth_models(SCALE).items()))
         assert spec.preparation_periods == (("app", 2.0), ("db", 3.0))
         assert hash(spec) == hash(ScenarioSpec.from_json(spec.to_json()))
 
@@ -288,7 +277,7 @@ class TestOnlineRefitFlag:
     def make_controller(self, online_refit):
         dep = Deployment(ScenarioSpec(
             seed=4, demand_scale=SCALE, controller="dcm",
-            models=scaled_models(), online_refit=online_refit,
+            models=ground_truth_models(SCALE), online_refit=online_refit,
             workload="rubbos", users=50, duration=5.0,
         ))
         return dep.controller
@@ -367,7 +356,7 @@ class TestGoldenEquivalence:
             controller=controller, workload="trace",
             trace=sine_trace(150.0, 75.0, 0.25, 1.0),
             max_users=400, seed=11, demand_scale=SCALE,
-            models=scaled_models(),
+            models=ground_truth_models(SCALE),
         )
 
     @pytest.mark.parametrize("controller", ["dcm", "ec2"])
