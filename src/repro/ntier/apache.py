@@ -53,10 +53,14 @@ class ApacheServer(TierServer):
         try:
             # Inside the try so no statement can slip between obtaining the
             # thread and the finally that returns it.
-            started_holder[0] = self.env.now
+            started_holder[0] = self.env._now
             demand = request.demand.apache
             yield self.cpu.execute(demand * _FORWARD_SPLIT)
-            yield from self.app_balancer.dispatch(self.env, request)
+            balancer = self.app_balancer
+            if balancer.chain is None:  # dispatch is pick + handle
+                yield balancer.pick_for(request).handle(request)
+            else:
+                yield from balancer.dispatch(self.env, request)
             yield self.cpu.execute(demand * (1.0 - _FORWARD_SPLIT))
         finally:
             self.threads.checkin(thread)

@@ -85,10 +85,13 @@ class Balancer:
         self._rr_last: Optional["TierServer"] = None
         self._rr_index = 0
         self._dispatches = 0
-        # Resilience-policy chain wrapped around ``dispatch`` (see
-        # repro.faults.policies).  ``None`` keeps the historical pick+handle
-        # path untouched, which golden-digest tests pin bit-for-bit.
-        self._chain: Optional[Callable] = None
+        #: Resilience-policy chain wrapped around ``dispatch`` (see
+        #: repro.faults.policies), set by :meth:`install_policy`.  ``None``
+        #: keeps the historical pick+handle path, which golden-digest tests
+        #: pin bit-for-bit; the request path reads this plain attribute and,
+        #: when it is ``None``, yields ``pick_for(request).handle(...)``
+        #: itself instead of going through :meth:`dispatch`.
+        self.chain: Optional[Callable] = None
         self._partitioned = False
 
     # -- membership -------------------------------------------------------------
@@ -204,7 +207,7 @@ class Balancer:
         ``chain(env, balancer, request, kwargs)`` must be a generator
         function; ``None`` restores the bare pick+handle path.
         """
-        self._chain = chain
+        self.chain = chain
 
     def dispatch(self, env, request, **kwargs):
         """Route one request through the (optional) resilience chain.
@@ -213,11 +216,11 @@ class Balancer:
         installed this emits exactly the event sequence of the historical
         ``pick()`` + ``yield handle()`` pair, keeping digests bit-identical.
         """
-        if self._chain is None:
+        if self.chain is None:
             server = self.pick_for(request)
             result = yield server.handle(request, **kwargs)
             return result
-        return (yield from self._chain(env, self, request, kwargs))
+        return (yield from self.chain(env, self, request, kwargs))
 
 
 def drain_and_wait(server: "TierServer") -> Callable:

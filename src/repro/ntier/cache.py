@@ -136,7 +136,7 @@ class CacheServer(SingleStageServer):
         key = kwargs.get("key", 0)
         if op == "get":
             expiry = self._store.get(key)
-            if expiry is not None and expiry < self.env.now:
+            if expiry is not None and expiry < self.env._now:
                 del self._store[key]
                 self.expirations += 1
                 expiry = None
@@ -150,7 +150,7 @@ class CacheServer(SingleStageServer):
                     out.append(key)
         elif op == "put":
             self._store[key] = (
-                self.env.now + self.ttl if self.ttl > 0 else float("inf")
+                self.env._now + self.ttl if self.ttl > 0 else float("inf")
             )
             self._store.move_to_end(key)
             self.insertions += 1

@@ -74,7 +74,7 @@ class ConnectionPool:
         Like :meth:`ThreadPool.checkout`: a free connection may be granted
         in place, without yielding (see :meth:`Resource.claim`).
         """
-        asked = self.env.now
+        asked = self.env._now
         req = self._resource.claim()
         if req.callbacks is not None:  # not granted in place: wait for it
             try:
@@ -87,7 +87,7 @@ class ConnectionPool:
                     self._resource.release(req)
                 raise
         self._checkouts += 1
-        self._wait_time_total += self.env.now - asked
+        self._wait_time_total += self.env._now - asked
         return req
 
     def checkin(self, handle: Acquire) -> None:

@@ -22,6 +22,7 @@ the hand-off point at which the VM-agent may terminate the underlying VM.
 
 from __future__ import annotations
 
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.check import config as _checks
@@ -33,6 +34,19 @@ from repro.sim.processor import ContentionProcessor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
+
+#: Cached ``config.active("conservation")``; re-resolved whenever the
+#: sanitizer configuration changes (the ``_POOL_CHECK`` pattern of
+#: :mod:`repro.sim.resources`), so a disarmed booking pays one global load.
+_CONSERVATION_CHECK = False
+
+
+def _refresh_check_flags() -> None:
+    global _CONSERVATION_CHECK
+    _CONSERVATION_CHECK = _checks.active("conservation")
+
+
+_checks.subscribe(_refresh_check_flags)
 
 
 class TierServer:
@@ -69,10 +83,11 @@ class TierServer:
         # cumulative counters, so the sanitizer can cross-check the two and
         # catch double-counted or lost requests (request conservation).
         self._inflight = 0
-        # Live interactions (processes, or result events of a single-stage
-        # server), insertion-ordered so a crash kills them deterministically.
-        # Populated by ``handle``; pruned when the interaction resolves.
-        self._live: Dict[Event, None] = {}
+        # Live interactions (process -> its generator, or result event of a
+        # single-stage server -> None), insertion-ordered so a crash kills
+        # them deterministically.  Populated by ``handle``; pruned when the
+        # interaction resolves.
+        self._live: Dict[Event, Optional[Generator]] = {}
         # Extra per-interaction network delay on admission (LatencySpike
         # fault).  Exactly 0.0 yields no event — zero-cost when unused.
         self.ingress_latency = 0.0
@@ -137,22 +152,26 @@ class TierServer:
         Models an abrupt VM/process death (no drain, no goodbye).  Each live
         interaction process is interrupted; the interrupt surfaces inside
         :meth:`_handle`, which records a failure — so conservation holds
-        (``arrivals == completions + failures``) even across a crash.
-        Returns the number of interactions killed.
+        (``arrivals == completions + failures``) even across a crash.  An
+        interaction admitted at the crash instant has not started yet: the
+        interrupt defuses its first resume, so its body never runs, and the
+        failure is booked here instead.  Returns the number of interactions
+        killed.
         """
         self._accepting = False
         killed = 0
-        for proc in list(self._live):
-            if not proc.is_alive:
-                # Interrupted before its first resume: the body never ran,
-                # so nothing else prunes it.
-                del self._live[proc]
-                continue
+        for proc, body in list(self._live.items()):
+            unstarted = getgeneratorstate(body) == GEN_CREATED
             target = proc.target
             proc.interrupt(reason)
             killed += 1
-            if target is None:
+            if unstarted:
+                # Nothing inside ``_handle`` will book or prune it.
+                del self._live[proc]
+                self._book_failure()
                 continue
+            if target is None:
+                continue  # already interrupted by a crash at this instant
             cancel = getattr(target, "cancel", None)
             if cancel is not None:
                 # Queued pool acquisition (thread / db connection): withdraw
@@ -176,20 +195,25 @@ class TierServer:
         arguments are forwarded to :meth:`_process` (MySQL receives the
         per-query ``demand`` this way).
         """
-        if not self.accepting:
+        if not self._accepting or self._draining:
             raise TopologyError(f"{self.name} is not accepting requests")
         self.arrivals += 1
         self._inflight += 1
-        arrived = self.env.now
-        interaction = request.trace(self.name, self.tier, arrived)
-        proc = self.env.process(self._handle(request, arrived, interaction, kwargs))
-        self._live[proc] = None
+        env = self.env
+        arrived = env._now
+        interaction = (
+            None if request.interactions is None
+            else request.trace(self.name, self.tier, arrived)
+        )
+        body = self._handle(request, arrived, interaction, kwargs)
+        proc = Process(env, body)
+        self._live[proc] = body
         return proc
 
     def _handle(self, request, arrived, interaction, kwargs) -> Generator[Event, Any, None]:
         # Pruned here rather than by a callback on the process, so the
         # caller stays the lone waiter on the interaction's return.
-        proc = self.env.active_process
+        proc = self.env._active_proc
         try:
             started_holder = [arrived]
             if self.ingress_latency > 0.0:
@@ -203,7 +227,7 @@ class TierServer:
         self._book_completion(arrived, started_holder[0], interaction)
 
     def _book_completion(self, arrived: float, started: float, interaction) -> None:
-        now = self.env.now
+        now = self.env._now
         self.completions += 1
         self._inflight -= 1
         self.residence_time_total += now - arrived
@@ -211,19 +235,22 @@ class TierServer:
         if interaction is not None:
             interaction.started = started
             interaction.completed = now
-        self._check_conservation()
-        self._maybe_finish_drain()
+        if _CONSERVATION_CHECK:
+            self._check_conservation()
+        if self._draining:
+            self._maybe_finish_drain()
 
     def _book_failure(self) -> None:
         self.failures += 1
         self._inflight -= 1
-        self._check_conservation()
-        self._maybe_finish_drain()
+        if _CONSERVATION_CHECK:
+            self._check_conservation()
+        if self._draining:
+            self._maybe_finish_drain()
 
     def _check_conservation(self) -> None:
-        """Sanitizer hook: arrived == completed + dropped + in-flight."""
-        if not _checks.active("conservation"):
-            return
+        """Sanitizer check (armed: ``_CONSERVATION_CHECK``): arrived ==
+        completed + dropped + in-flight."""
         if (self._inflight != self.outstanding or self._inflight < 0
                 or self.completions < 0 or self.failures < 0):
             raise InvariantViolation(
@@ -292,13 +319,16 @@ class SingleStageServer(TierServer):
         fails with the admission error (e.g. ``CapacityError``) or the
         crash ``Interrupt`` otherwise.
         """
-        if not self.accepting:
+        if not self._accepting or self._draining:
             raise TopologyError(f"{self.name} is not accepting requests")
         self.arrivals += 1
         self._inflight += 1
         env = self.env
         arrived = env._now
-        interaction = request.trace(self.name, self.tier, arrived)
+        interaction = (
+            None if request.interactions is None
+            else request.trace(self.name, self.tier, arrived)
+        )
         result = Event(env)
         self._live[result] = None
         if self.ingress_latency > 0.0:

@@ -104,6 +104,10 @@ class ConsistentHashRing:
     first point clockwise from its own hash.  Virtual nodes keep the
     per-shard keyspace share close to uniform, so residual skew comes from
     key *popularity*, not from ring geometry.
+
+    :meth:`lookup` memoizes key -> node until the membership changes, so
+    the memo holds at most one entry per key of the (finite) keyspace;
+    :meth:`locate` hashes every time, for unbounded ids such as request ids.
     """
 
     def __init__(self, virtual_nodes: int = 64) -> None:
@@ -114,12 +118,14 @@ class ConsistentHashRing:
         self.virtual_nodes = virtual_nodes
         self._points: List[tuple] = []  # sorted (hash, shard_id)
         self._nodes: set = set()
+        self._memo: Dict[int, int] = {}  # key -> node; cleared on add/remove
 
     def add_node(self, node: int) -> None:
         """Add a shard's virtual nodes to the ring."""
         if node in self._nodes:
             raise ConfigurationError(f"shard {node} already on the ring")
         self._nodes.add(node)
+        self._memo.clear()
         for v in range(self.virtual_nodes):
             insort(self._points, (_ring_hash(f"shard-{node}#{v}"), node))
 
@@ -128,10 +134,19 @@ class ConsistentHashRing:
         if node not in self._nodes:
             raise ConfigurationError(f"shard {node} is not on the ring")
         self._nodes.discard(node)
+        self._memo.clear()
         self._points = [(h, n) for h, n in self._points if n != node]
 
     def lookup(self, key: int) -> int:
-        """The shard owning ``key``."""
+        """The shard owning ``key`` (memoized: keys must come from a
+        bounded keyspace)."""
+        node = self._memo.get(key)
+        if node is None:
+            node = self._memo[key] = self.locate(key)
+        return node
+
+    def locate(self, key: int) -> int:
+        """The shard owning ``key``, hashed afresh (nothing is memoized)."""
         if not self._points:
             raise TopologyError("consistent-hash ring has no nodes")
         h = _ring_hash(f"key:{key}")
@@ -328,8 +343,11 @@ class ShardRouter(Balancer):
         unlike the all-or-nothing plain balancer."""
         if self._partitioned:
             raise TopologyError(f"{self.name}: no backend available")
-        key = request.key if request.key is not None else request.request_id
-        sid = self.ring.lookup(key)
+        key = request.key
+        # Keyless requests hash their (unbounded) request id: not memoized,
+        # or the memo would gain one entry per request.
+        sid = (self.ring.locate(request.request_id) if key is None
+               else self.ring.lookup(key))
         shard = self._shards[sid]
         if request.is_write:
             primary = shard.primary

@@ -81,7 +81,7 @@ class ThreadPool:
         would be the next event dispatched is granted in place and the
         helper returns without yielding (see :meth:`Resource.claim`).
         """
-        asked = self.env.now
+        asked = self.env._now
         req = self._resource.claim()
         if req.callbacks is not None:  # not granted in place: wait for it
             try:
@@ -96,7 +96,7 @@ class ThreadPool:
                     self._resource.release(req)
                 raise
         self._acquisitions += 1
-        self._wait_time_total += self.env.now - asked
+        self._wait_time_total += self.env._now - asked
         return req
 
     def acquire(self) -> Acquire:

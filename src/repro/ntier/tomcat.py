@@ -69,7 +69,7 @@ class TomcatServer(TierServer):
         try:
             # Inside the try so no statement can slip between obtaining the
             # thread and the finally that returns it.
-            started_holder[0] = self.env.now
+            started_holder[0] = self.env._now
             demand = request.demand.tomcat
             yield self.cpu.execute(demand * _PRE_QUERY_SPLIT)
             use_cache = self.cache is not None and request.key is not None
@@ -80,12 +80,18 @@ class TomcatServer(TierServer):
                 # A hit bypasses the whole app→db hop: no connection is
                 # checked out and no query dispatched, so the db tier sees
                 # only the miss fraction of the HTTP arrival rate.
+                balancer = self.db_balancer
                 for query_demand in request.demand.db_queries:
                     conn = yield from self.db_pool.checkout()
                     try:
-                        yield from self.db_balancer.dispatch(
-                            self.env, request, demand=query_demand
-                        )
+                        if balancer.chain is None:  # dispatch is pick + handle
+                            yield balancer.pick_for(request).handle(
+                                request, demand=query_demand
+                            )
+                        else:
+                            yield from balancer.dispatch(
+                                self.env, request, demand=query_demand
+                            )
                     finally:
                         self.db_pool.checkin(conn)
                 if use_cache:

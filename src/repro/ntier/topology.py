@@ -37,8 +37,8 @@ from repro.ntier.request import Request
 from repro.ntier.sharding import ShardingSpec, ShardRouter
 from repro.ntier.softconfig import HardwareConfig, SoftResourceConfig
 from repro.ntier.tomcat import TomcatServer
-from repro.sim.events import Event
-from repro.sim.rng import RandomStreams
+from repro.sim.events import Event, Process
+from repro.sim.rng import BlockDraws, RandomStreams
 from repro.workload.keys import ZipfKeySampler
 from repro.workload.servlets import ServletCatalog, browse_only_catalog
 
@@ -102,6 +102,12 @@ class NTierSystem:
                 )
         self.env = env
         self.streams = streams or RandomStreams(0)
+        # submit() is the only consumer of these two streams, so it may read
+        # them a block at a time (see BlockDraws).
+        self._mix_draws = BlockDraws(self.streams.stream("workload.mix"), "uniform")
+        self._demand_draws = BlockDraws(
+            self.streams.stream("workload.demand"), "exponential"
+        )
         self.soft = soft
         self.catalog = catalog or browse_only_catalog()
         self.cache_spec = cache
@@ -358,20 +364,21 @@ class NTierSystem:
         Returns the request object and an event that fires when the request
         completes (successfully or not — inspect ``request.failed``).
         """
-        rng = self.streams.stream("workload.demand")
+        catalog = self.catalog
         if servlet_name is None:
-            servlet = self.catalog.sample(self.streams.stream("workload.mix"))
+            servlet = catalog.draw(self._mix_draws)
         else:
-            servlet = self.catalog[servlet_name]
-        demand = servlet.sample_demand(rng, self.catalog.demand_distribution)
+            servlet = catalog[servlet_name]
+        demand = servlet.draw_demand(self._demand_draws, catalog.demand_distribution)
         if self._key_sampler is not None:
             key: Optional[int] = self._key_sampler.sample()
             is_write = servlet.category == "write"
         else:
             key, is_write = None, False
+        env = self.env
         request = Request(
             servlet=servlet,
-            created=self.env.now,
+            created=env._now,
             demand=demand,
             key=key,
             is_write=is_write,
@@ -379,18 +386,25 @@ class NTierSystem:
         self.submitted += 1
         if self.audit_requests is not None:
             self.audit_requests.append(request)
-        done = self.env.process(self._drive(request))
+        done = Process(env, self._drive(request))
         return request, done
 
     def _drive(self, request: Request):
         self._inflight += 1
+        env = self.env
+        balancer = self.web_balancer
         try:
             try:
-                yield from self.web_balancer.dispatch(self.env, request)
+                # Without a resilience chain, dispatch is pick + handle:
+                # yield the backend's event directly (no generator layer).
+                if balancer.chain is None:
+                    yield balancer.pick_for(request).handle(request)
+                else:
+                    yield from balancer.dispatch(env, request)
             except RequestShed as err:  # admission control refused it: accounted
                 request.failed = True
                 request.failure_reason = f"{type(err).__name__}: {err}"
-                self.shed_log.append(self.env.now)
+                self.shed_log.append(env._now)
                 return request
             except InvariantViolation:
                 # Sanitizer findings must surface, never be filed away as
@@ -400,9 +414,9 @@ class NTierSystem:
             except Exception as err:  # failed request: record, do not crash the client
                 request.failed = True
                 request.failure_reason = f"{type(err).__name__}: {err}"
-                self.failure_log.append(self.env.now)
+                self.failure_log.append(env._now)
                 return request
-            request.completed = self.env.now
+            request.completed = env._now
             self.request_log.append(
                 (request.created, request.completed - request.created)
             )

@@ -101,6 +101,7 @@ def execute_stress(point: Dict[str, Any]) -> Dict[str, Any]:
     from repro.ntier.balancer import Balancer
     from repro.ntier.request import Request
     from repro.sim import Environment, RandomStreams
+    from repro.sim.rng import BlockDraws
     from repro.workload import browse_only_catalog
 
     tier = point["tier"]
@@ -114,7 +115,8 @@ def execute_stress(point: Dict[str, Any]) -> Dict[str, Any]:
 
     env = Environment()
     streams = RandomStreams(point["seed"])
-    rng = streams.stream("stress.demand")
+    # The loops below are the stream's only consumer: draw it in blocks.
+    draws = BlockDraws(streams.stream("stress.demand"), "exponential")
     if tier == "db":
         server = MySQLServer(env, "mysql-stress", max_connections=10 * conc + 50)
     else:
@@ -125,7 +127,7 @@ def execute_stress(point: Dict[str, Any]) -> Dict[str, Any]:
 
     def loop():
         while True:
-            demand = servlet.sample_demand(rng, demand_distribution)
+            demand = servlet.draw_demand(draws, demand_distribution)
             request = Request(servlet=servlet, created=env.now, demand=demand)
             if tier == "db":
                 yield server.handle(request, demand=demand.db_queries[0])

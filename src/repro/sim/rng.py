@@ -14,6 +14,52 @@ from typing import Dict
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
+#: Values a :class:`BlockDraws` reader takes from its stream per refill.
+BLOCK_SIZE = 1024
+
+#: Kinds of value a :class:`BlockDraws` reader serves.
+BLOCK_KINDS = ("uniform", "exponential")
+
+
+class BlockDraws:
+    """Serves one stream's values from blocks, in the order scalar calls would.
+
+    ``kind="uniform"`` serves ``Generator.random()`` values and
+    ``kind="exponential"`` serves ``Generator.standard_exponential()``
+    values, each refilled ``BLOCK_SIZE`` at a time and converted with
+    ``.tolist()``.  numpy fills both arrays with the per-element routine a
+    scalar call runs, so the i-th value :meth:`next` returns equals the
+    i-th scalar draw from the stream, bit for bit; and since numpy's
+    ``exponential(scale)`` is ``scale * standard_exponential()``, so does
+    ``scale * next()`` (``tests/test_workload.py::TestBlockDraws`` pins
+    both).
+
+    A reader reads ahead, so it must be its stream's only consumer, and it
+    serves one kind: interleaving two kinds on one stream would reorder
+    the values.  A reader that is never read draws nothing.
+    """
+
+    __slots__ = ("_fill", "_block")
+
+    def __init__(self, gen: np.random.Generator, kind: str) -> None:
+        if kind not in BLOCK_KINDS:
+            raise ConfigurationError(
+                f"unknown block kind {kind!r}; pick from {BLOCK_KINDS}"
+            )
+        self._fill = gen.random if kind == "uniform" else gen.standard_exponential
+        #: Undrawn values of the current block, next value last.
+        self._block: list = []
+
+    def next(self) -> float:
+        """The stream's next value."""
+        block = self._block
+        if not block:
+            block = self._block = self._fill(BLOCK_SIZE).tolist()
+            block.reverse()
+        return block.pop()
+
 
 class RandomStreams:
     """Factory of independent, named :class:`numpy.random.Generator` streams.

@@ -206,9 +206,15 @@ class BatchedPopulation:
         batch.inflight += 1
         self.requests_issued += 1
         _request, done = self.system.submit()
-        done.callbacks.append(lambda _event, b=batch: self._complete(b))
+        done.callbacks.append(lambda event, b=batch: self._complete(b, event))
 
-    def _complete(self, batch: _Batch) -> None:
+    def _complete(self, batch: _Batch, done) -> None:
+        if not done.ok:
+            # The request's process books every ordinary error as a failed
+            # request; it fails only on a sanitizer finding (or a
+            # BaseException), which must escape env.run() as it does for a
+            # UserSession waiting on the request.
+            raise done.value
         batch.inflight -= 1
         if batch.backlog > 0 and (
             self.window is None or batch.inflight < self.window

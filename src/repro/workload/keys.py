@@ -16,9 +16,12 @@ ring, on a hot *shard*.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import BlockDraws
 
 
 class ZipfKeySampler:
@@ -27,6 +30,8 @@ class ZipfKeySampler:
     Unlike ``numpy``'s unbounded ``zipf``, the keyspace is finite (a cache
     hit rate over an infinite keyspace is meaningless), so the probability
     mass function is normalised explicitly and sampled by inverse CDF.
+    Uniforms come from ``rng`` in blocks (:class:`~repro.sim.rng.BlockDraws`),
+    so the sampler must be its stream's only consumer.
     """
 
     def __init__(self, keys: int, exponent: float, rng: np.random.Generator) -> None:
@@ -36,14 +41,16 @@ class ZipfKeySampler:
             raise ConfigurationError(f"zipf exponent must be >= 0, got {exponent}")
         self.keys = int(keys)
         self.exponent = float(exponent)
-        self._rng = rng
+        self._draws = BlockDraws(rng, "uniform")
         ranks = np.arange(1, self.keys + 1, dtype=float)
         weights = ranks ** (-self.exponent)
         self._cdf = np.cumsum(weights / weights.sum())
+        # bisect_right over the list finds searchsorted(side="right")'s index.
+        self._cdf_list = self._cdf.tolist()
 
     def sample(self) -> int:
         """One key draw; key 0 is the most popular."""
-        idx = int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
+        idx = bisect_right(self._cdf_list, self._draws.next())
         return min(idx, self.keys - 1)
 
     def hot_fraction(self, top: int) -> float:

@@ -22,6 +22,7 @@ servlets are preserved by the normalisation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -30,6 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.ntier.contention import MYSQL_CONTENTION, TOMCAT_CONTENTION
 from repro.ntier.request import DemandProfile
+from repro.sim.rng import BlockDraws
 
 #: Calibration targets (seconds) — Table I values divided by gamma.
 TOMCAT_MEAN_DEMAND = TOMCAT_CONTENTION.s0 / 11.03
@@ -69,17 +71,38 @@ class Servlet:
         self, rng: np.random.Generator, distribution: str = "exponential"
     ) -> DemandProfile:
         """Draw one request's demands from this servlet's distributions."""
-        if distribution == "deterministic":
-            return DemandProfile(
-                apache=self.apache_demand,
-                tomcat=self.tomcat_demand,
-                db_queries=self.db_query_demands,
-            )
         if distribution == "exponential":
             return DemandProfile(
                 apache=float(rng.exponential(self.apache_demand)),
                 tomcat=float(rng.exponential(self.tomcat_demand)),
                 db_queries=tuple(float(rng.exponential(d)) for d in self.db_query_demands),
+            )
+        return self._mean_demand(distribution)
+
+    def draw_demand(self, draws: BlockDraws, distribution: str) -> DemandProfile:
+        """:meth:`sample_demand` served from an ``"exponential"`` block reader.
+
+        Each exponential demand is ``float(mean * e)``: numpy's own formula,
+        drawn in the same order, and a Python float even for a numpy-scalar
+        mean (the stress harness's), so the profile equals ``sample_demand``
+        on the reader's stream float for float.  ``"deterministic"`` draws
+        nothing.
+        """
+        if distribution == "exponential":
+            e = draws.next
+            return DemandProfile(
+                float(self.apache_demand * e()),
+                float(self.tomcat_demand * e()),
+                tuple([float(d * e()) for d in self.db_query_demands]),
+            )
+        return self._mean_demand(distribution)
+
+    def _mean_demand(self, distribution: str) -> DemandProfile:
+        if distribution == "deterministic":
+            return DemandProfile(
+                apache=self.apache_demand,
+                tomcat=self.tomcat_demand,
+                db_queries=self.db_query_demands,
             )
         raise ConfigurationError(
             f"unknown demand distribution {distribution!r}; pick from {DISTRIBUTIONS}"
@@ -184,6 +207,7 @@ class ServletCatalog:
         self._mix_probs = np.array([mix[n] for n in self._mix_names], dtype=float)
         self._mix_probs /= self._mix_probs.sum()
         self._mix_cum = np.cumsum(self._mix_probs)
+        self._mix_cum_list = self._mix_cum.tolist()
         self._mix_servlets = tuple(self._by_name[n] for n in self._mix_names)
 
     # -- lookup -------------------------------------------------------------------
@@ -202,12 +226,15 @@ class ServletCatalog:
         idx = int(np.searchsorted(self._mix_cum, rng.random(), side="right"))
         return self._mix_servlets[min(idx, len(self._mix_servlets) - 1)]
 
-    def sample_request_demand(
-        self, rng: np.random.Generator
-    ) -> tuple[Servlet, DemandProfile]:
-        """Draw a servlet and its request demands in one call."""
-        servlet = self.sample(rng)
-        return servlet, servlet.sample_demand(rng, self.demand_distribution)
+    def draw(self, draws: BlockDraws) -> Servlet:
+        """:meth:`sample` served from a ``"uniform"`` block reader.
+
+        ``bisect_right`` over a list copy of the mix CDF finds the index
+        ``searchsorted(side="right")`` finds, so the servlet equals
+        ``sample`` on the reader's stream.
+        """
+        idx = bisect_right(self._mix_cum_list, draws.next())
+        return self._mix_servlets[min(idx, len(self._mix_servlets) - 1)]
 
     # -- aggregate workload characteristics ------------------------------------------
     def mean_demands(self) -> Dict[str, float]:

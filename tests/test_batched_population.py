@@ -9,7 +9,7 @@ through the ``batched-trace`` registry entry under a real n-tier system.
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.sim import Environment
 from repro.sim.rng import RandomStreams
 from repro.workload import BatchedPopulation, sine_trace
@@ -169,3 +169,28 @@ class TestDeploymentIntegration:
         assert history, "trace must retarget the population"
         assert all(0 <= users <= 40 for _t, users in history)
         assert dep.system.completed_count() > 0
+
+
+class TestSanitizerFindings:
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_violation_escapes_env_run(self, batched):
+        # A sanitizer finding fails the request's process; the batched
+        # completion callback must re-raise it like a UserSession does.
+        from repro.ntier import NTierSystem
+        from repro.workload import UserSession
+
+        env = Environment()
+        system = NTierSystem(env)
+
+        def poisoned_pick(request):
+            raise InvariantViolation("test", "synthetic", detail="boom")
+
+        system.web_balancer.pick_for = poisoned_pick
+        if batched:
+            BatchedPopulation(env, system, users=10)
+        else:
+            UserSession(env, system).start()
+        with pytest.raises(InvariantViolation):
+            env.run(until=5)
+        assert system.submitted == 1
+        assert system.failure_log == []

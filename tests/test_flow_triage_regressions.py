@@ -128,11 +128,10 @@ class TestInvariantViolationPassthrough:
     def test_violation_escapes_env_run(self, monkeypatch):
         env, system = self._system()
 
-        def poisoned_dispatch(env, request, **kwargs):
+        def poisoned_pick(request):
             raise InvariantViolation("test", "synthetic", detail="boom")
-            yield  # pragma: no cover - generator marker
 
-        monkeypatch.setattr(system.web_balancer, "dispatch", poisoned_dispatch)
+        monkeypatch.setattr(system.web_balancer, "pick_for", poisoned_pick)
         system.submit()
         with pytest.raises(InvariantViolation):
             env.run()
@@ -142,11 +141,10 @@ class TestInvariantViolationPassthrough:
     def test_ordinary_failure_is_still_recorded(self, monkeypatch):
         env, system = self._system()
 
-        def broken_dispatch(env, request, **kwargs):
+        def broken_pick(request):
             raise RuntimeError("backend exploded")
-            yield  # pragma: no cover - generator marker
 
-        monkeypatch.setattr(system.web_balancer, "dispatch", broken_dispatch)
+        monkeypatch.setattr(system.web_balancer, "pick_for", broken_pick)
         request, _done = system.submit()
         env.run()
         assert request.failed

@@ -312,3 +312,24 @@ class TestMultiServerBehaviour:
         m1, m2 = system.tier_servers("db")
         assert m1.completions > 20
         assert m2.completions > 20
+
+
+class TestCrashAtAdmission:
+    def test_crash_at_the_admission_instant_books_one_failure(self):
+        # Tomcat admits the interaction, then crashes in the same instant,
+        # before the interaction's process first resumes: its body never
+        # runs, so the crash itself must book the failure.
+        env, system = make_system()
+        request, _done = system.submit()
+        tomcat = system.tier_servers("app")[0]
+        while tomcat.arrivals < 1:
+            env.step()
+        assert tomcat.crash("probe") == 1
+        env.run()
+        assert request.failed
+        assert request.failure_reason == "Interrupt: probe"
+        assert (tomcat.arrivals, tomcat.completions, tomcat.failures) == (1, 0, 1)
+        assert tomcat.outstanding == 0 and tomcat.inflight == 0
+        assert tomcat.crash("again") == 0  # pruned: nothing left to kill
+        tomcat.begin_drain()
+        assert tomcat.drained_event().triggered

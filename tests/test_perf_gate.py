@@ -120,4 +120,4 @@ class TestInputs:
         benchmark = perf_gate.load_json(perf_gate.BENCHMARK)
         record = perf_gate.load_json(perf_gate.RECORD)
         perf_gate.check_record(record, benchmark)
-        assert set(record) == {"fig5-dcm", "lv-100k"}
+        assert set(record) == {"fig5-dcm", "lv-100k", "stateful-zipf"}

@@ -310,3 +310,29 @@ class TestSchemaV4:
         )
         assert isinstance(spec.cache, CacheSpec)
         assert isinstance(spec.sharding, ShardingSpec)
+
+
+class TestRingMemo:
+    def test_memoized_lookups_follow_membership_changes(self):
+        ring = ConsistentHashRing(virtual_nodes=16)
+        for node in range(3):
+            ring.add_node(node)
+        keys = range(600)
+        assert [ring.lookup(k) for k in keys] == [ring.locate(k) for k in keys]
+        ring.remove_node(1)
+        assert [ring.lookup(k) for k in keys] == [ring.locate(k) for k in keys]
+        assert 1 not in {ring.lookup(k) for k in keys}
+        ring.add_node(7)
+        assert [ring.lookup(k) for k in keys] == [ring.locate(k) for k in keys]
+        assert 7 in {ring.lookup(k) for k in keys}
+
+    def test_memo_is_bounded_by_the_keyspace(self):
+        router, _servers = _router()
+        for i in range(300):
+            router.pick_for(_request(i % 40))
+        assert len(router.ring._memo) == 40
+        # Keyless requests hash their request id, which never repeats: the
+        # memo must not grow with them.
+        for _ in range(300):
+            router.pick_for(_request(None))
+        assert len(router.ring._memo) == 40

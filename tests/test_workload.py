@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.ntier import HardwareConfig, NTierSystem, SoftResourceConfig
 from repro.sim import Environment, RandomStreams
+from repro.sim.rng import BLOCK_SIZE, BlockDraws
 from repro.workload import (
     JMeterGenerator,
     MYSQL_MEAN_DEMAND,
@@ -342,3 +343,101 @@ class TestReadWriteCatalog:
         RubbosGenerator(env, system, users=60, think_time=1.0)
         env.run(until=20.0)
         assert system.completed_count() > 200
+
+
+class TestBlockDraws:
+    """The request path reads its workload streams a block at a time
+    (``repro.sim.rng.BlockDraws``).  That is only sound while numpy's
+    array fills run the per-element routine its scalar calls run; these
+    tests pin that agreement, float for float, against the per-call
+    reference (``ServletCatalog.sample`` + ``Servlet.sample_demand``)."""
+
+    #: Enough requests to cross at least two blocks of every stream.
+    N = 2 * BLOCK_SIZE + 300
+
+    @staticmethod
+    def _submit_all(catalog, n, seed, **kwargs):
+        env = Environment()
+        system = NTierSystem(env, RandomStreams(seed), catalog=catalog, **kwargs)
+        return system, [system.submit()[0] for _ in range(n)]
+
+    @pytest.mark.parametrize("write_fraction", [0.0, 0.15])
+    def test_submit_equals_the_per_call_draws(self, write_fraction):
+        from repro.workload import read_write_catalog
+
+        catalog = (
+            browse_only_catalog() if write_fraction == 0.0
+            else read_write_catalog(write_fraction=write_fraction)
+        )
+        _system, requests = self._submit_all(catalog, self.N, seed=21)
+        twin = RandomStreams(21)
+        mix, demand = twin.stream("workload.mix"), twin.stream("workload.demand")
+        for i, request in enumerate(requests):
+            servlet = catalog.sample(mix)
+            expected = servlet.sample_demand(demand, "exponential")
+            assert request.servlet is servlet, (
+                f"request {i}: block-drawn mix picked {request.servlet.name}, "
+                f"numpy's per-call draw picks {servlet.name}"
+            )
+            got = request.demand
+            assert (got.apache, got.tomcat, got.db_queries) == (
+                expected.apache, expected.tomcat, expected.db_queries
+            ), (
+                f"request {i} ({servlet.name}): block-drawn demands {got} != "
+                f"per-call demands {expected}; numpy's array fill no longer "
+                "matches its scalar draws"
+            )
+            assert all(type(v) is float for v in (got.apache, got.tomcat, *got.db_queries))
+        # The draws covered 1-, 2- and 3-query servlets.
+        assert {len(r.demand.db_queries) for r in requests} == {1, 2, 3}
+
+    def test_zipf_keys_equal_searchsorted_over_the_cdf(self):
+        from repro.ntier import CacheSpec
+
+        spec = CacheSpec(keys=500, zipf=1.1)
+        system, requests = self._submit_all(
+            browse_only_catalog(), self.N, seed=8, cache=spec
+        )
+        cdf = system._key_sampler._cdf
+        keys = RandomStreams(8).stream("workload.keys")
+        for i, request in enumerate(requests):
+            idx = int(np.searchsorted(cdf, keys.random(), side="right"))
+            assert request.key == min(idx, spec.keys - 1), (
+                f"request {i}: block-drawn key {request.key} != per-call key"
+            )
+
+    def test_numpy_scalar_means_still_give_python_floats(self):
+        # The stress harness builds servlets from mix means (numpy scalars).
+        from repro.workload.servlets import Servlet
+
+        servlet = Servlet("S", "browse", np.float64(0.0), np.float64(2.5e-3),
+                          (np.float64(1.2e-3),))
+        draws = BlockDraws(np.random.default_rng(4), "exponential")
+        twin = np.random.default_rng(4)
+        for _ in range(BLOCK_SIZE + 10):
+            got = servlet.draw_demand(draws, "exponential")
+            expected = servlet.sample_demand(twin, "exponential")
+            assert got == expected
+            assert all(type(v) is float for v in (got.apache, got.tomcat, *got.db_queries))
+
+    def test_deterministic_and_named_requests_draw_nothing(self):
+        catalog = browse_only_catalog(demand_distribution="deterministic")
+        env = Environment()
+        streams = RandomStreams(5)
+        system = NTierSystem(env, streams, catalog=catalog)
+        before = {
+            name: streams.stream(name).bit_generator.state
+            for name in ("workload.mix", "workload.demand")
+        }
+        for name in ("ViewStory", "SearchInStories", "BrowseCategories"):
+            request, _done = system.submit(name)
+            servlet = catalog[name]
+            assert request.servlet is servlet
+            assert request.demand.tomcat == servlet.tomcat_demand
+            assert request.demand.db_queries == servlet.db_query_demands
+        for name, state in before.items():
+            assert streams.stream(name).bit_generator.state == state, name
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ConfigurationError):
+            BlockDraws(np.random.default_rng(0), "normal")
