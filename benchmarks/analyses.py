@@ -304,15 +304,6 @@ FIG5_SEED = 7
 FIG5_CONTROLLERS = ("dcm", "ec2")
 
 
-def _report(dep):
-    """The stability report of a stopped controller deployment."""
-    system = dep.system
-    return stability_report(
-        system.request_log, len(system.failure_log), dep.duration,
-        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
-    )
-
-
 def fig5_specs():
     models = ground_truth_models(FIG5_SCALE)
     trace = large_variation()
@@ -326,7 +317,7 @@ def fig5_specs():
 
 def fig5(ctx):
     runs = dict(zip(FIG5_CONTROLLERS, ctx.values))
-    reports = {name: _report(dep) for name, dep in runs.items()}
+    reports = {name: dep.stability_report() for name, dep in runs.items()}
     max_db_conc = {
         name: max(rec.get("concurrency") for rec in dep.collector.records("db"))
         for name, dep in runs.items()
@@ -367,12 +358,10 @@ def fig5(ctx):
                 f"[{name}] {tier} VMs", dep.controller.scaling_timeline(tier),
                 precision=0,
             )
-    dcm = runs["dcm"]
-    if dcm.app_agent is not None:
-        reallocs = [a for a in dcm.app_agent.actions if a.action == "apply"]
-        text += "\n\nDCM soft-resource re-allocations:"
-        for a in reallocs:
-            text += f"\n  t={a.time:6.1f}s -> {a.detail}"
+    text += "\n\nDCM soft-resource re-allocations:"
+    for e in runs["dcm"].system.control_log:
+        if e.actor == "app-agent" and e.kind == "apply":
+            text += f"\n  t={e.time:6.1f}s -> {e.detail}"
 
     d, e = reports["dcm"], reports["ec2"]
     # --- The paper's headline: much more stable performance under DCM. ---
@@ -517,7 +506,7 @@ def overprovision_specs():
 
 
 def overprovision(ctx):
-    dcm, static = (_report(dep) for dep in ctx.values)
+    dcm, static = (dep.stability_report() for dep in ctx.values)
 
     rows = [
         [label, getattr(dcm, attr), getattr(static, attr)]
@@ -579,7 +568,7 @@ def ablation_policy_specs():
 def ablation_policy(ctx):
     results = {}
     for (label, _lows), dep in zip(POLICY_VARIANTS, ctx.values):
-        report = _report(dep)
+        report = dep.stability_report()
         scale_events = sum(
             1 for e in dep.controller.events
             if e.kind in ("scale_out_done", "scale_in_done")

@@ -18,7 +18,6 @@ analytic Table-I models instead of offline training).
 import os
 import sys
 
-from repro.analysis import stability_report
 from repro.analysis.tables import render_sparkline, render_table
 from repro.analysis.timeseries import response_time_series
 from repro.model import ground_truth_models
@@ -55,13 +54,7 @@ def main() -> None:
             dep.run()
         runs[controller] = dep
 
-    reports = {
-        name: stability_report(
-            dep.system.request_log, len(dep.system.failure_log), dep.duration,
-            vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
-        )
-        for name, dep in runs.items()
-    }
+    reports = {name: dep.stability_report() for name, dep in runs.items()}
     rows = [
         [label, getattr(reports["dcm"], attr), getattr(reports["ec2"], attr)]
         for label, attr in [
@@ -85,12 +78,10 @@ def main() -> None:
         print(f"\n{name} p95 RT over time: {render_sparkline(rt.values)}")
         print(f"{name} app VMs: {dep.controller.scaling_timeline('app')}")
         print(f"{name} db  VMs: {dep.controller.scaling_timeline('db')}")
-    dcm = runs["dcm"]
-    if dcm.app_agent is not None:
-        print("\nDCM soft-resource re-allocations:")
-        for action in dcm.app_agent.actions:
-            if action.action == "apply":
-                print(f"  t={action.time:6.1f}s  ->  {action.detail}")
+    print("\nDCM soft-resource re-allocations:")
+    for e in runs["dcm"].system.control_log:
+        if e.actor == "app-agent" and e.kind == "apply":
+            print(f"  t={e.time:6.1f}s  ->  {e.detail}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.analysis.sla import StabilityReport, stability_report
+from repro.analysis.sla import StabilityReport
 from repro.analysis.timeseries import response_time_series, throughput_series
 from repro.errors import ConfigurationError
 
@@ -58,24 +58,14 @@ def run_to_dict(dep, bin_width: float = 5.0) -> Dict[str, Any]:
     the soft-resource re-allocation log.  The raw request log is *not*
     included — it is large and reproducible from the seed.
     """
-    system, duration = dep.system, dep.duration
-    report = stability_report(
-        system.request_log, len(system.failure_log), duration,
-        vm_seconds=dep.hypervisor.billing.vm_seconds(duration),
-    )
-    rt = response_time_series(system.request_log, duration, bin_width, percentile=95.0)
-    xput = throughput_series(system.request_log, duration, bin_width)
-    reallocations: List[Dict[str, Any]] = []
-    if dep.app_agent is not None:
-        reallocations = [
-            {"time": a.time, "action": a.action, "detail": a.detail}
-            for a in dep.app_agent.actions
-        ]
+    log, duration = dep.system.request_log, dep.duration
+    rt = response_time_series(log, duration, bin_width, percentile=95.0)
+    xput = throughput_series(log, duration, bin_width)
     return {
         "schema_version": SCHEMA_VERSION,
         "controller": dep.spec.controller,
         "duration": duration,
-        "report": report_to_dict(report),
+        "report": report_to_dict(dep.stability_report()),
         "series": {
             "bin_width": bin_width,
             "p95_response_time": list(rt.values),
@@ -89,24 +79,12 @@ def run_to_dict(dep, bin_width: float = 5.0) -> Dict[str, Any]:
             {"time": e.time, "tier": e.tier, "kind": e.kind, "detail": e.detail}
             for e in dep.controller.events
         ],
-        "reallocations": reallocations,
+        "reallocations": [
+            {"time": e.time, "action": e.kind, "detail": e.detail}
+            for e in dep.system.control_log
+            if e.actor == "app-agent"
+        ],
     }
-
-
-def run_artifact(dep, bin_width: float = 5.0) -> Dict[str, Any]:
-    """A controller run as a lab artifact payload (``type="report"``).
-
-    Wraps :func:`run_to_dict` for the content-addressed store: the full
-    serialised run under ``data`` and the scalar stability-report fields
-    as ``metrics`` so ``repro lab diff`` can show per-metric deltas.
-    """
-    data = run_to_dict(dep, bin_width)
-    metrics = {
-        name: float(value)
-        for name, value in data["report"].items()
-        if isinstance(value, (int, float))
-    }
-    return {"data": data, "metrics": metrics, "type": "report"}
 
 
 def save_run(dep, path: str, bin_width: float = 5.0) -> None:
@@ -126,18 +104,6 @@ def load_run(path: str) -> Dict[str, Any]:
             f"(expected {SCHEMA_VERSION})"
         )
     return data
-
-
-def compare_runs(paths: Sequence[str]) -> List[Tuple[str, Dict[str, Any]]]:
-    """Load several run artefacts for side-by-side comparison.
-
-    Returns ``(controller, report dict)`` pairs in input order.
-    """
-    out: List[Tuple[str, Dict[str, Any]]] = []
-    for path in paths:
-        data = load_run(path)
-        out.append((data["controller"], data["report"]))
-    return out
 
 
 def save_curve(

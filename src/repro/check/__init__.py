@@ -13,7 +13,7 @@ Two halves guard the invariants the whole reproduction rests on:
   :mod:`repro.check.flow` layers the interprocedural dataflow analyses on
   top (``DCM101`` resource leaks, ``DCM102`` yield protocol, ``DCM103``
   nondeterminism taint), reached via ``repro lint --deep``, with SARIF
-  emission and a committed-baseline gate for CI.
+  emission; CI fails on any finding.
 * :mod:`repro.check.sanitizer` + :mod:`repro.check.config` — cheap runtime
   assertions wired into the kernel, pools, servers, cluster, and cache,
   armed by ``REPRO_CHECK=1`` (or :func:`repro.check.config.enable`), raising

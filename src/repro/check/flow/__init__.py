@@ -17,8 +17,7 @@ DCM103    nondeterminism-taint  wall-clock/RNG/environ/hash/set-order values
 ========  ====================  ==================================================
 
 Entry point: :func:`analyze_paths`, merged into ``lint_paths(deep=True)``.
-CI compares findings to the committed ``LINT_BASELINE.json`` (see
-:mod:`repro.check.flow.baseline`) and uploads SARIF (see
+CI fails on any finding and uploads SARIF (see
 :mod:`repro.check.flow.sarif`).  DESIGN.md §"Dataflow analysis" documents
 construction, lattices, and the known imprecision budget.
 """
@@ -28,12 +27,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.check.flow.baseline import (
-    diagnostic_key,
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
 from repro.check.flow.leaks import find_leaks
 from repro.check.flow.project import Project, build_project
 from repro.check.flow.sarif import to_sarif, write_sarif
@@ -50,10 +43,6 @@ __all__ = [
     "FLOW_RULES_BY_CODE",
     "analyze_paths",
     "analyze_sources",
-    "diagnostic_key",
-    "load_baseline",
-    "new_findings",
-    "save_baseline",
     "to_sarif",
     "write_sarif",
 ]

@@ -21,17 +21,17 @@ Gives operators the library's main entry points without writing Python:
     Assemble and run a declarative :class:`repro.scenario.ScenarioSpec`
     from a JSON file through the composition root: ``repro scenario run
     spec.json``.  Prints completion/failure/shed counts, the fault
-    injection log, and (with a controller) billed VM-seconds.  ``repro
-    scenario run --list`` prints every registered controller, workload,
-    fault kind, and resilience policy.
+    injection log, and (with a controller) billed VM-seconds and the
+    final app and db server counts.  ``repro scenario run --list`` prints
+    every registered controller, workload, fault kind, and resilience
+    policy.
 ``trace``
     Export a built-in workload trace to CSV (or describe it).
 ``lint``
     Static determinism lint (rules DCM001–DCM010) over source trees;
     defaults to the installed ``repro`` package.  ``--deep`` adds the
     interprocedural dataflow analyses (DCM101–DCM103) with optional
-    ``--sarif`` output and ``--baseline`` comparison.  Exits 1 on
-    findings not covered by the baseline.
+    ``--sarif`` output.  Exits 1 on any finding.
 ``check``
     Sanitized smoke checks: two-run determinism digest, runtime invariant
     sanitizer, and a VM lifecycle/billing audit.  Exits 1 on failure.
@@ -78,7 +78,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 import repro
-from repro.analysis import stability_report
 from repro.analysis.persistence import save_curve, save_run
 from repro.analysis.tables import render_sparkline, render_table
 from repro.model import predict_curve, specs_from_system
@@ -243,17 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sarif", metavar="FILE", default=None,
         help="write findings as a SARIF 2.1.0 document to FILE",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="compare findings against this baseline file and fail only "
-             "on new ones (default with --deep: LINT_BASELINE.json beside "
-             "the linted tree, when present)",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file with the current findings "
-             "instead of failing",
     )
 
     p = sub.add_parser(
@@ -476,12 +464,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     )
     res = run(spec, **_engine_kwargs(args))
     dep = res.value
-    report = stability_report(
-        dep.system.request_log, len(dep.system.failure_log), dep.duration,
-        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
-    )
     print(render_table(
-        ["metric", "value"], report.rows(),
+        ["metric", "value"], dep.stability_report().rows(),
         title=f"{args.controller} on {args.trace} ({max_users} peak users)",
     ))
     for tier in ("app", "db"):
@@ -522,6 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.lab import render_scenario_report, scenario_report_payload
     from repro.scenario import Deployment, ScenarioSpec, registries
 
     if args.list_registries:
@@ -539,29 +524,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     spec = ScenarioSpec.from_json(Path(args.spec).read_text())
     with Deployment(spec) as dep:
         dep.run(until=args.until)
-    horizon = args.until if args.until is not None else dep.duration
-    rows: List[List[object]] = [
-        ["controller", spec.controller or "-"],
-        ["workload", spec.workload or "-"],
-        ["simulated seconds", float(horizon)],
-        ["completed requests", float(dep.system.completed_count())],
-        ["failed requests", float(len(dep.system.failure_log))],
-        ["shed requests", float(len(dep.system.shed_log))],
-    ]
-    if dep.injector is not None:
-        for event in dep.injector.log:
-            rows.append([f"fault {event.kind} {event.phase}", event.time])
-    if dep.hypervisor is not None:
-        rows.append(["VM-seconds", dep.hypervisor.billing.vm_seconds(horizon)])
-        for tier in ("app", "db"):
-            timeline = dep.controller.scaling_timeline(tier)
-            rows.append([f"{tier} servers (final)", float(timeline[-1][1])])
-    print(render_table(["metric", "value"], rows,
-                       title=f"scenario: {Path(args.spec).name}"))
-    if dep.resilience_chains:
-        from repro.lab import render_resilience_report
-
-        print(render_resilience_report(dep.resilience_report()))
+    print(render_scenario_report(Path(args.spec).name,
+                                 scenario_report_payload(dep, args.until)))
     return 0
 
 
@@ -595,37 +559,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         write_sarif(diagnostics, (*RULES, *FLOW_RULES), args.sarif)
         print(f"SARIF report written to {args.sarif}")
 
-    baseline_path = args.baseline
-    if baseline_path is None and args.deep and os.path.exists(
-            "LINT_BASELINE.json"):
-        baseline_path = "LINT_BASELINE.json"
-
-    if args.update_baseline:
-        from repro.check.flow.baseline import save_baseline
-
-        target = baseline_path or "LINT_BASELINE.json"
-        root = os.path.dirname(os.path.abspath(target)) or "."
-        save_baseline(diagnostics, target, root=root)
-        print(f"baseline rewritten: {target} "
-              f"({len(diagnostics)} finding(s))")
-        return 0
-
-    if baseline_path is not None:
-        from repro.check.flow.baseline import load_baseline, new_findings
-
-        root = os.path.dirname(os.path.abspath(baseline_path)) or "."
-        known = load_baseline(baseline_path)
-        fresh = new_findings(diagnostics, known, root=root)
-        if len(fresh) != len(diagnostics):
-            print(f"{len(diagnostics) - len(fresh)} baselined finding(s) "
-                  f"suppressed by {baseline_path}")
-        diagnostics = fresh
-
     if diagnostics:
         print(render_diagnostics(diagnostics))
         print(f"{len(diagnostics)} finding(s); "
-              "suppress a line with '# repro: noqa[DCM00x]' plus a reason, "
-              "or record accepted debt with --update-baseline")
+              "suppress a line with '# repro: noqa[DCM00x]' plus a reason")
         return 1
     print("determinism lint: clean")
     return 0

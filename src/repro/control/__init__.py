@@ -5,8 +5,8 @@ DCM adds the second actuation level — model-driven soft-resource
 re-allocation through the APP-agent.
 """
 
-from repro.control.actuators import ActuatorAction, AppAgent, VMAgent
-from repro.control.base import BaseAutoScaleController, ControlEvent
+from repro.control.actuators import AppAgent, ControlEvent, VMAgent
+from repro.control.base import BaseAutoScaleController
 from repro.control.dcm import DCMController
 from repro.control.ec2 import EC2AutoScaleController
 from repro.control.predictive import PredictiveDCMController, TrendForecaster
@@ -20,7 +20,6 @@ from repro.control.policy import (
 )
 
 __all__ = [
-    "ActuatorAction",
     "AppAgent",
     "BaseAutoScaleController",
     "ControlEvent",

@@ -8,15 +8,17 @@
   resizing thread pools and DB connection pools of *live* servers without
   interrupting them.
 
-Both agents keep an action log so experiments can reconstruct the scaling
-timelines of Fig 5(c)–(f).
+Both agents and the controller write one kind of record,
+:class:`ControlEvent`, through :func:`log_control` into the run's one
+control log, ``NTierSystem.control_log``; the scaling timelines of
+Fig 5(c)–(f) are its ``servers`` series.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cluster.hypervisor import Hypervisor
 from repro.cluster.vm import VirtualMachine, VMState
@@ -32,14 +34,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class ActuatorAction:
-    """One entry in an actuator's audit log."""
+class ControlEvent:
+    """One control-plane record: a controller decision or an agent action.
+
+    ``actor`` is ``"controller"``, ``"vm-agent"`` or ``"app-agent"``;
+    ``servers`` is the accepting-server count of ``tier`` when the record
+    was written (``None`` outside the scalable app and db tiers).
+    """
 
     time: float
-    actuator: str
-    action: str
+    actor: str
     tier: str
+    kind: str  # "scale_out_started", "join", "apply", "crash", ...
     detail: str = ""
+    servers: Optional[int] = None
+
+
+def log_control(
+    system: "NTierSystem", actor: str, tier: str, kind: str, detail: str = ""
+) -> None:
+    """Append one :class:`ControlEvent` to ``system.control_log``."""
+    servers = None
+    if tier in VMAgent.SCALABLE_TIERS:
+        servers = len(system.active_servers(tier))
+    system.control_log.append(
+        ControlEvent(system.env.now, actor, tier, kind, detail, servers)
+    )
 
 
 class VMAgent:
@@ -77,7 +97,6 @@ class VMAgent:
             if preparation_periods is None
             else preparation_periods
         )
-        self.actions: List[ActuatorAction] = []
         self._vm_by_server: Dict[str, VirtualMachine] = {}
         self._vm_seq = itertools.count(1)
         self._bootstrapped = False
@@ -86,11 +105,6 @@ class VMAgent:
     def vm_for(self, server: "TierServer") -> Optional[VirtualMachine]:
         """The VM hosting ``server`` (``None`` for unbootstrapped servers)."""
         return self._vm_by_server.get(server.name)
-
-    def _log(self, action: str, tier: str, detail: str = "") -> None:
-        self.actions.append(
-            ActuatorAction(self.env.now, "vm-agent", action, tier, detail)
-        )
 
     def bootstrap(self) -> None:
         """Attach already-RUNNING VMs to the system's initial servers.
@@ -107,7 +121,8 @@ class VMAgent:
             )
             vm.server = server
             self._vm_by_server[server.name] = vm
-            self._log("bootstrap", server.tier, server.name)
+            log_control(self.system, "vm-agent", server.tier, "bootstrap",
+                        server.name)
 
     # -- scale out -----------------------------------------------------------------
     def scale_out(self, tier: str, **server_kwargs) -> Process:
@@ -126,7 +141,7 @@ class VMAgent:
         vm, ready = self.hypervisor.provision(
             vm_name, preparation_period=self.preparation_periods.get(tier)
         )
-        self._log("provision", tier, vm_name)
+        log_control(self.system, "vm-agent", tier, "provision", vm_name)
         yield ready
         if tier == "app":
             server = self.system.add_tomcat(**server_kwargs)
@@ -136,7 +151,8 @@ class VMAgent:
         self._vm_by_server[server.name] = vm
         if self.fleet is not None:
             self.fleet.reconcile()
-        self._log("join", tier, f"{server.name} on {vm_name}")
+        log_control(self.system, "vm-agent", tier, "join",
+                    f"{server.name} on {vm_name}")
         return server
 
     # -- scale in -------------------------------------------------------------------
@@ -191,7 +207,7 @@ class VMAgent:
         return self.env.process(self._scale_in(tier, victim))
 
     def _scale_in(self, tier: str, victim: "TierServer"):
-        self._log("drain", tier, victim.name)
+        log_control(self.system, "vm-agent", tier, "drain", victim.name)
         vm = self._vm_by_server.get(victim.name)
         if vm is not None and vm.state is VMState.RUNNING:
             vm.transition(VMState.DRAINING)
@@ -202,7 +218,7 @@ class VMAgent:
             self._vm_by_server.pop(victim.name, None)
         if self.fleet is not None:
             self.fleet.reconcile()
-        self._log("terminate", tier, victim.name)
+        log_control(self.system, "vm-agent", tier, "terminate", victim.name)
         return victim.name
 
     # -- crash handling --------------------------------------------------------------
@@ -218,7 +234,7 @@ class VMAgent:
             self.hypervisor.terminate(vm)
         if self.fleet is not None:
             self.fleet.reconcile()
-        self._log("crash", server.tier, server.name)
+        log_control(self.system, "vm-agent", server.tier, "crash", server.name)
 
 
 class AppAgent:
@@ -232,22 +248,18 @@ class AppAgent:
     def __init__(self, env: "Environment", system: "NTierSystem") -> None:
         self.env = env
         self.system = system
-        self.actions: List[ActuatorAction] = []
-
-    def _log(self, action: str, tier: str, detail: str) -> None:
-        self.actions.append(ActuatorAction(self.env.now, "app-agent", action, tier, detail))
 
     def apply(self, soft: SoftResourceConfig) -> None:
         """Apply a full soft-resource allocation to every live server."""
         self.system.apply_soft_config(soft)
-        self._log("apply", "all", str(soft))
+        log_control(self.system, "app-agent", "all", "apply", str(soft))
 
     def set_tomcat_threads(self, size: int) -> None:
         """Resize every Tomcat's thread pool (direct concurrency control)."""
         for server in self.system.tier_servers("app"):
             server.threads.resize(size)
         self.system.soft = self.system.soft.with_tomcat_threads(size)
-        self._log("tomcat_threads", "app", str(size))
+        log_control(self.system, "app-agent", "app", "tomcat_threads", str(size))
 
     def set_db_connections_per_tomcat(self, size: int) -> None:
         """Resize every Tomcat's DB connection pool (indirect control of
@@ -255,4 +267,4 @@ class AppAgent:
         for server in self.system.tier_servers("app"):
             server.db_pool.resize(size)
         self.system.soft = self.system.soft.with_db_connections(size)
-        self._log("db_connections", "db", str(size))
+        log_control(self.system, "app-agent", "db", "db_connections", str(size))

@@ -1,37 +1,33 @@
-"""Shared control loop for both autoscalers.
+"""Shared control loop for every autoscaler.
 
 Every ``control_period`` seconds the controller drains the metric stream,
-computes per-tier statistics over the elapsed period, runs the threshold
-policy, and launches VM-agent actions.  Subclasses customise (a) the soft
-configuration given to newly created servers and (b) what happens after a
+computes per-tier statistics over the elapsed period, asks :meth:`decide`
+for a verdict, and launches VM-agent actions.  Subclasses customise (a)
+the verdict (the predictive controller adds a forecast), (b) the soft
+configuration given to newly created servers and (c) what happens after a
 scaling action or at period end — that delta *is* the difference between
 EC2-AutoScale and DCM.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.control.actuators import VMAgent
-from repro.control.policy import SCALE_IN, SCALE_OUT, PolicyStateTracker, ScalingPolicy
+from repro.control.actuators import ControlEvent, VMAgent, log_control
+from repro.control.policy import (
+    SCALE_IN,
+    SCALE_OUT,
+    PolicyStateTracker,
+    ScalingPolicy,
+    TierScalingState,
+)
 from repro.errors import CapacityError, ControlError
-from repro.monitor.collector import MetricCollector
+from repro.monitor.collector import MetricCollector, TierStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ntier.server import TierServer
     from repro.ntier.topology import NTierSystem
     from repro.sim.core import Environment
-
-
-@dataclass(frozen=True)
-class ControlEvent:
-    """One controller decision/outcome, for the Fig 5 timelines."""
-
-    time: float
-    tier: str
-    kind: str  # "scale_out_started", "scale_out_done", "scale_in_started", ...
-    detail: str = ""
 
 
 class BaseAutoScaleController:
@@ -55,11 +51,6 @@ class BaseAutoScaleController:
         self.policy = policy or ScalingPolicy()
         self.tiers = tiers
         self.states = PolicyStateTracker()
-        self.events: List[ControlEvent] = []
-        #: (time, tier, accepting-server count) snapshots, one per event.
-        self.counts_log: List[Tuple[float, str, int]] = [
-            (env.now, tier, len(system.active_servers(tier))) for tier in tiers
-        ]
         self._running = True
         self._process = env.process(self._run())
 
@@ -68,12 +59,10 @@ class BaseAutoScaleController:
         """Stop the control loop at its next tick."""
         self._running = False
 
-    def _log(self, tier: str, kind: str, detail: str = "") -> None:
-        self.events.append(ControlEvent(self.env.now, tier, kind, detail))
-        if tier in self.tiers:
-            self.counts_log.append(
-                (self.env.now, tier, len(self.system.active_servers(tier)))
-            )
+    @property
+    def events(self) -> List[ControlEvent]:
+        """This controller's own records in the run's control log."""
+        return [e for e in self.system.control_log if e.actor == "controller"]
 
     # -- the loop -------------------------------------------------------------------
     def _run(self):
@@ -89,19 +78,14 @@ class BaseAutoScaleController:
                 )
                 servers = len(self.system.active_servers(tier))
                 state = self.states.state(tier)
-                decision = self.policy.decide(stats, servers, state)
-                if decision == SCALE_OUT:
+                decision = self.decide(tier, stats, servers, state, now)
+                if decision in (SCALE_OUT, SCALE_IN):
                     state.pending_action = True
-                    self._log(tier, "scale_out_started",
-                              f"util={stats.mean_cpu_utilization:.2f}")
-                    self.env.process(self._scale_out(tier))
-                elif decision == SCALE_IN:
-                    state.pending_action = True
-                    self._log(tier, "scale_in_started",
-                              f"util={stats.mean_cpu_utilization:.2f}")
-                    self.env.process(self._scale_in(tier))
+                    log_control(self.system, "controller", tier, f"{decision}_started",
+                                f"util={stats.mean_cpu_utilization:.2f}")
+                    act = self._scale_out if decision == SCALE_OUT else self._scale_in
+                    self.env.process(act(tier))
             self.on_period_end(now)
-        return len(self.events)
 
     def _scale_out(self, tier: str):
         state = self.states.state(tier)
@@ -110,11 +94,11 @@ class BaseAutoScaleController:
                 tier, **self.new_server_config(tier)
             )
         except (CapacityError, ControlError) as err:
-            self._log(tier, "scale_out_failed", str(err))
+            log_control(self.system, "controller", tier, "scale_out_failed", str(err))
             return
         finally:
             state.pending_action = False
-        self._log(tier, "scale_out_done", server.name)
+        log_control(self.system, "controller", tier, "scale_out_done", server.name)
         self.on_scaled(tier, "out", server)
 
     def _scale_in(self, tier: str):
@@ -122,15 +106,28 @@ class BaseAutoScaleController:
         try:
             name = yield self.vm_agent.scale_in(tier)
         except ControlError as err:
-            self._log(tier, "scale_in_failed", str(err))
+            log_control(self.system, "controller", tier, "scale_in_failed", str(err))
             return
         finally:
             state.pending_action = False
         self.collector.forget(name)
-        self._log(tier, "scale_in_done", name)
+        log_control(self.system, "controller", tier, "scale_in_done", name)
         self.on_scaled(tier, "in", None)
 
     # -- subclass hooks ---------------------------------------------------------------
+    def decide(
+        self,
+        tier: str,
+        stats: Optional[TierStats],
+        servers: int,
+        state: TierScalingState,
+        now: float,
+    ) -> Optional[str]:
+        """This period's verdict for ``tier``: :data:`SCALE_OUT`,
+        :data:`SCALE_IN` or ``None``.  The base verdict is the threshold
+        policy's."""
+        return self.policy.decide(stats, servers, state)
+
     def new_server_config(self, tier: str) -> dict:
         """Factory kwargs for a new server of ``tier``.
 
@@ -147,13 +144,13 @@ class BaseAutoScaleController:
 
     # -- reporting -------------------------------------------------------------------
     def scaling_timeline(self, tier: str) -> List[Tuple[float, int]]:
-        """``(time, accepting server count)`` change points for ``tier``,
-        from the snapshots taken at every logged control event."""
+        """``(time, accepting server count)`` change points for ``tier``:
+        the ``servers`` series of the run's control log, repeats dropped."""
         timeline: List[Tuple[float, int]] = []
-        for t, tr, count in self.counts_log:
-            if tr != tier:
+        for e in self.system.control_log:
+            if e.tier != tier or e.servers is None:
                 continue
-            if timeline and timeline[-1][1] == count:
+            if timeline and timeline[-1][1] == e.servers:
                 continue
-            timeline.append((t, count))
+            timeline.append((e.time, e.servers))
         return timeline or [(0.0, len(self.system.active_servers(tier)))]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.control.actuators import AppAgent, VMAgent
+from repro.control.actuators import AppAgent, VMAgent, log_control
 from repro.control.base import BaseAutoScaleController
 from repro.control.policy import ScalingPolicy
 from repro.errors import ModelError
@@ -128,11 +128,13 @@ class DCMController(BaseAutoScaleController):
         try:
             plan = self.compute_plan()
         except ModelError as err:
-            self._log("all", "reallocate_skipped", f"{reason}: {err}")
+            log_control(self.system, "controller", "all", "reallocate_skipped",
+                        f"{reason}: {err}")
             return None
         if plan.soft != self.system.soft and self._materially_different(plan):
             self.app_agent.apply(plan.soft)
-            self._log("all", "reallocate", f"{reason}: {plan.soft}")
+            log_control(self.system, "controller", "all", "reallocate",
+                        f"{reason}: {plan.soft}")
             self.last_plan = plan
         elif self.last_plan is None:
             self.last_plan = plan
@@ -176,7 +178,8 @@ class DCMController(BaseAutoScaleController):
         for tier in self.tiers:
             result = self.estimator.refit(tier, now)
             if result is not None:
-                self._log(tier, "model_refit", result.summary())
+                log_control(self.system, "controller", tier, "model_refit",
+                            result.summary())
                 changed = True
         if changed:
             self.reallocate("refit")

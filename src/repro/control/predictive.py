@@ -23,8 +23,9 @@ from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.control.actuators import log_control
 from repro.control.dcm import DCMController
-from repro.control.policy import SCALE_IN, SCALE_OUT
+from repro.control.policy import SCALE_OUT, TierScalingState
 from repro.errors import ConfigurationError
 from repro.monitor.collector import TierStats
 
@@ -92,41 +93,24 @@ class PredictiveDCMController(DCMController):
         self.predictive_scaleouts = 0
         self._started_at = self.env.now
 
-    def _run(self):
-        # Reimplements the control loop with the forecast hook; the body is
-        # the base loop plus forecaster observation + predictive trigger.
-        while self._running:
-            yield self.env.timeout(self.policy.control_period)
-            if not self._running:
-                break
-            self.collector.drain()
-            now = self.env.now
-            for tier in self.tiers:
-                stats = self.collector.tier_stats(
-                    tier, since=now - self.policy.control_period
-                )
-                if stats is not None and self._past_warmup(now):
-                    # The very first period carries the population ramp-up
-                    # transient; feeding it to the forecaster would fake a
-                    # rising trend on perfectly flat workloads.
-                    self.forecaster.observe(tier, now, stats.mean_cpu_utilization)
-                servers = len(self.system.active_servers(tier))
-                state = self.states.state(tier)
-                decision = self.policy.decide(stats, servers, state)
-                if decision is None and stats is not None:
-                    decision = self._predictive_decision(tier, stats, servers, state, now)
-                if decision == SCALE_OUT:
-                    state.pending_action = True
-                    self._log(tier, "scale_out_started",
-                              f"util={stats.mean_cpu_utilization:.2f}")
-                    self.env.process(self._scale_out(tier))
-                elif decision == SCALE_IN:
-                    state.pending_action = True
-                    self._log(tier, "scale_in_started",
-                              f"util={stats.mean_cpu_utilization:.2f}")
-                    self.env.process(self._scale_in(tier))
-            self.on_period_end(now)
-        return len(self.events)
+    def decide(
+        self,
+        tier: str,
+        stats: Optional[TierStats],
+        servers: int,
+        state: TierScalingState,
+        now: float,
+    ) -> Optional[str]:
+        """The reactive verdict, else a forecast-driven scale-out."""
+        if stats is not None and self._past_warmup(now):
+            # The very first period carries the population ramp-up
+            # transient; feeding it to the forecaster would fake a
+            # rising trend on perfectly flat workloads.
+            self.forecaster.observe(tier, now, stats.mean_cpu_utilization)
+        decision = super().decide(tier, stats, servers, state, now)
+        if decision is None and stats is not None:
+            decision = self._predictive_decision(tier, stats, servers, state, now)
+        return decision
 
     def _past_warmup(self, now: float) -> bool:
         """Whether ``now`` is beyond the first (ramp-up) control period."""
@@ -137,7 +121,7 @@ class PredictiveDCMController(DCMController):
         tier: str,
         stats: TierStats,
         servers: int,
-        state,
+        state: TierScalingState,
         now: float,
     ) -> Optional[str]:
         """Fire a proactive scale-out when the trend says we will saturate."""
@@ -151,9 +135,8 @@ class PredictiveDCMController(DCMController):
         if predicted <= stats.mean_cpu_utilization + 0.05:
             return None
         self.predictive_scaleouts += 1
-        self._log(
-            tier,
-            "predictive_trigger",
+        log_control(
+            self.system, "controller", tier, "predictive_trigger",
             f"util={stats.mean_cpu_utilization:.2f} forecast={predicted:.2f}",
         )
         return SCALE_OUT

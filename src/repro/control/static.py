@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.control.actuators import AppAgent, VMAgent
+from repro.control.actuators import AppAgent, VMAgent, log_control
 from repro.control.base import BaseAutoScaleController
 from repro.errors import ControlError
 from repro.model.optimizer import AllocationPlanner
@@ -102,16 +102,18 @@ class StaticProvisioningController(BaseAutoScaleController):
                         "db_connections": soft.db_connections,
                     }
                 pending.append(self.vm_agent.scale_out(tier, **kwargs))
-                self._log(tier, "static_provision_started")
+                log_control(self.system, "controller", tier,
+                            "static_provision_started")
         if pending:
             yield self.env.all_of(pending)
         if soft is not None and self.app_agent is not None:
             self.app_agent.apply(soft)
-            self._log("all", "static_soft_applied", str(soft))
+            log_control(self.system, "controller", "all", "static_soft_applied",
+                        str(soft))
         self._provisioned = True
         for tier in self.target_servers:
-            self._log(tier, "static_provision_done",
-                      str(len(self.system.active_servers(tier))))
+            log_control(self.system, "controller", tier, "static_provision_done",
+                        str(len(self.system.active_servers(tier))))
 
     @property
     def provisioned(self) -> bool:

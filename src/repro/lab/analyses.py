@@ -102,12 +102,16 @@ def resolve_analysis(ref: str) -> Callable[[Any], Dict[str, Any]]:
 # Scenario reporting (satellite: per-tier resilience composition)
 # ---------------------------------------------------------------------------
 
-def scenario_report_payload(dep) -> Dict[str, Any]:
-    """JSON-safe summary of one stopped deployment, including the per-tier
-    resilience policy composition (which chain wraps which tier, with
-    per-policy dispatch counters) — the piece that makes fault suites
-    diffable across runs."""
-    system, horizon = dep.system, dep.duration
+def scenario_report_payload(dep, horizon: Optional[float] = None) -> Dict[str, Any]:
+    """JSON-safe summary of one stopped deployment run to ``horizon``
+    (default: its duration), including the per-tier resilience policy
+    composition (which chain wraps which tier, with per-policy dispatch
+    counters) — the piece that makes fault suites diffable across runs.
+    With a hypervisor it also carries the billed VM-seconds and the final
+    app and db server counts."""
+    system = dep.system
+    if horizon is None:
+        horizon = dep.duration
     payload: Dict[str, Any] = {
         "controller": dep.spec.controller,
         "workload": dep.spec.workload,
@@ -123,6 +127,10 @@ def scenario_report_payload(dep) -> Dict[str, Any]:
         ]
     if dep.hypervisor is not None:
         payload["vm_seconds"] = dep.hypervisor.billing.vm_seconds(horizon)
+        payload["servers"] = {
+            tier: dep.controller.scaling_timeline(tier)[-1][1]
+            for tier in ("app", "db")
+        }
     if getattr(dep, "resilience_chains", None):
         payload["resilience"] = dep.resilience_report()
     return payload
@@ -144,6 +152,8 @@ def render_scenario_report(name: str, payload: Dict[str, Any]) -> str:
         rows.append([f"fault {event['kind']} {event['phase']}", event["time"]])
     if "vm_seconds" in payload:
         rows.append(["VM-seconds", payload["vm_seconds"]])
+    for tier, count in payload.get("servers", {}).items():
+        rows.append([f"{tier} servers (final)", float(count)])
     text = render_table(["metric", "value"], rows, title=f"scenario: {name}")
     resilience = payload.get("resilience")
     if resilience:
@@ -226,34 +236,6 @@ def scenario_report(ctx: AnalysisContext) -> Dict[str, Any]:
         "text": "\n\n".join(chunks),
         "metrics": metrics,
         "data": {"scenarios": reports},
-        "type": "report",
-    }
-
-
-@LAB_ANALYSES.register("autoscale_report")
-def autoscale_report(ctx: AnalysisContext) -> Dict[str, Any]:
-    """Serialise each full run with a controller via
-    :func:`repro.analysis.persistence.run_artifact` — the full run
-    artefact (series, VM timelines, controller events) under ``data``
-    with the stability-report scalars as diffable metrics."""
-    from repro.analysis.persistence import run_artifact
-
-    runs = [dep for dep in ctx.deployments() if dep.controller is not None]
-    if not runs:
-        raise ConfigurationError(
-            f"experiment {ctx.experiment!r} has no controller runs "
-            f"for the autoscale_report analysis"
-        )
-    bin_width = float(ctx.params.get("bin_width", 5.0))
-    payloads = [run_artifact(run, bin_width=bin_width) for run in runs]
-    metrics: Dict[str, float] = {}
-    for i, payload in enumerate(payloads):
-        prefix = "" if len(payloads) == 1 else f"[{i}]"
-        for name, value in payload["metrics"].items():
-            metrics[f"{name}{prefix}"] = value
-    return {
-        "data": {"runs": [p["data"] for p in payloads]},
-        "metrics": metrics,
         "type": "report",
     }
 

@@ -43,6 +43,7 @@ from repro.workload.keys import ZipfKeySampler
 from repro.workload.servlets import ServletCatalog, browse_only_catalog
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.control.actuators import ControlEvent
     from repro.sim.core import Environment
 
 TIERS = ("web", "app", "db")
@@ -170,6 +171,9 @@ class NTierSystem:
         self.request_log: List[Tuple[float, float]] = []
         self.failure_log: List[float] = []
         self.shed_log: List[float] = []
+        # Every controller decision and agent action, in order (written by
+        # repro.control.actuators.log_control).
+        self.control_log: List["ControlEvent"] = []
         self.submitted = 0
         self._inflight = 0
         # Optional capture of every Request object, enabled by the audit's

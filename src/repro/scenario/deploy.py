@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.analysis.sla import StabilityReport, stability_report
 from repro.broker import KafkaBroker, Producer
 from repro.cluster import Hypervisor
 from repro.control import AppAgent, ScalingPolicy, VMAgent
@@ -243,6 +244,17 @@ class Deployment:
         stop = getattr(self.workload, "stop", None)
         if callable(stop):
             stop()
+
+    def stability_report(self) -> StabilityReport:
+        """The run's stability report over its duration, with the
+        VM-seconds billed to the same horizon (0 without a hypervisor)."""
+        vm_seconds = 0.0
+        if self.hypervisor is not None:
+            vm_seconds = self.hypervisor.billing.vm_seconds(self.duration)
+        return stability_report(
+            self.system.request_log, len(self.system.failure_log),
+            self.duration, vm_seconds=vm_seconds,
+        )
 
     def resilience_report(self) -> dict:
         """Per-tier policy composition with per-link dispatch counters.

@@ -4,11 +4,9 @@ Each analysis gets bad/good fixture pairs exercised through
 :func:`repro.check.flow.analyze_sources` (the whole file set forms one
 project, so call resolution and summaries work exactly as in the real
 tree).  The acceptance test at the bottom pins ``repro lint --deep`` over
-``src/repro`` to the committed ``LINT_BASELINE.json`` — kept empty, so the
-repo's own tree must stay deep-clean.
+``src/repro`` to no findings: the repo's own tree must stay deep-clean.
 """
 
-import json
 import os
 
 import pytest
@@ -21,16 +19,9 @@ from repro.check.flow import (
     analyze_sources,
     to_sarif,
 )
-from repro.check.flow.baseline import (
-    diagnostic_key,
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 REPO_SRC = os.path.join(REPO_ROOT, "src", "repro")
-BASELINE = os.path.join(REPO_ROOT, "LINT_BASELINE.json")
 
 
 def codes_by_line(diagnostics):
@@ -285,21 +276,6 @@ class TestBaselineAndSarif:
             TestResourceLeaks.BAD_EXCEPTION_PATH, "DCM101", path="leak.py"
         )
 
-    def test_baseline_roundtrip(self, tmp_path):
-        diags = self._some_diags()
-        path = str(tmp_path / "bl.json")
-        save_baseline(diags, path, root=str(tmp_path))
-        known = load_baseline(path)
-        assert known == {diagnostic_key(d, root=str(tmp_path)) for d in diags}
-        assert new_findings(diags, known, root=str(tmp_path)) == []
-        assert new_findings(diags, set(), root=str(tmp_path)) == diags
-
-    def test_baseline_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "???", "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
     def test_sarif_document_shape(self):
         diags = self._some_diags()
         doc = to_sarif(diags, FLOW_RULES)
@@ -315,15 +291,9 @@ class TestBaselineAndSarif:
 
 
 class TestAcceptance:
-    def test_committed_baseline_is_empty(self):
-        # The steady state this repo commits to: every deep finding fixed
-        # or noqa'd at the source line, never parked in the baseline.
-        assert load_baseline(BASELINE) == set()
-
-    def test_repo_tree_is_deep_clean_against_baseline(self):
-        diags = lint_paths([REPO_SRC], deep=True)
-        keys = {diagnostic_key(d, root=REPO_ROOT) for d in diags}
-        assert keys == load_baseline(BASELINE)
+    def test_repo_tree_is_deep_clean(self):
+        # Every deep finding is fixed or noqa'd at the source line.
+        assert lint_paths([REPO_SRC], deep=True) == []
 
     def test_analyze_paths_walks_directories(self, tmp_path):
         bad = tmp_path / "leaky.py"

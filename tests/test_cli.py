@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.persistence import (
     SCHEMA_VERSION,
-    compare_runs,
     load_curve,
     load_run,
     read_csv,
@@ -201,16 +200,6 @@ class TestPersistence:
         path.write_text(json.dumps({"schema_version": 999}))
         with pytest.raises(ConfigurationError):
             load_run(str(path))
-
-    def test_compare_runs(self, tmp_path):
-        run = self._run()
-        p1 = str(tmp_path / "a.json")
-        p2 = str(tmp_path / "b.json")
-        save_run(run, p1)
-        save_run(run, p2)
-        pairs = compare_runs([p1, p2])
-        assert [name for name, _ in pairs] == ["dcm", "dcm"]
-        assert pairs[0][1]["completed"] == pairs[1][1]["completed"]
 
 
 class TestAuditCommand:

@@ -180,7 +180,7 @@ class TestAppAgent:
         assert system.soft.tomcat_threads == 30
         agent.set_db_connections_per_tomcat(18)
         assert system.max_db_concurrency() == 36
-        assert len(agent.actions) == 3
+        assert len([e for e in system.control_log if e.actor == "app-agent"]) == 3
 
 
 class TestControllersEndToEnd:

@@ -170,7 +170,8 @@ class TestAutoscaleRunner:
             demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
         assert dep.app_agent is not None
-        applies = [a for a in dep.app_agent.actions if a.action == "apply"]
+        applies = [e for e in dep.system.control_log
+                   if e.actor == "app-agent" and e.kind == "apply"]
         assert applies, "DCM must re-allocate soft resources"
         # The initial plan pins the DB connection total near the knee.
         assert dep.system.soft.db_connections <= 80

@@ -518,13 +518,32 @@ class TestVMCrashLifecycle:
         with Deployment(spec) as dep:
             dep.run()
             self.quiesce(dep)
-            crashes = [a for a in dep.vm_agent.actions if a.action == "crash"]
+            crashes = [e for e in dep.system.control_log
+                       if e.actor == "vm-agent" and e.kind == "crash"]
             assert len(crashes) == 1 and crashes[0].tier == "app"
             # The dead server's VM stopped billing (terminated, not leaked)
             # and its agent is gone; the session-wide sanitizer checks the
             # rest (billing/lifecycle agreement).
             crashed = crashes[0].detail
             assert crashed not in dep.fleet.agents
+
+    def test_crash_ends_the_scaling_timeline(self):
+        with Deployment(self.spec(controller="ec2")) as dep:
+            dep.run()
+        assert dep.controller.scaling_timeline("app") == [(0.0, 2), (4.0, 1)]
+        assert dep.controller.scaling_timeline("db") == [(0.0, 1)]
+
+    def test_cli_final_server_count_after_crash(self, tmp_path, capsys):
+        path = tmp_path / "crash.json"
+        path.write_text(self.spec(controller="ec2").to_json())
+        assert main(["scenario", "run", str(path)]) == 0
+        rows = dict(
+            (cell.strip() for cell in line.split("|"))
+            for line in capsys.readouterr().out.splitlines()
+            if line.count("|") == 1
+        )
+        assert rows["app servers (final)"] == "1.000"
+        assert rows["db servers (final)"] == "1.000"
 
 
 class TestGoldenEquivalenceUnderSchemaV2:

@@ -26,6 +26,16 @@ class TestSameSeedDigest:
         with check_config.override(True):
             assert autoscale_digest(run_fig5()) == GOLDEN
 
+    def test_control_counts_perfbench_reads(self):
+        # perfbench's control.scale_actions and control.soft_reallocs count
+        # these kinds in controller.events.
+        with check_config.override(False):
+            kinds = [e.kind for e in run_fig5().controller.events]
+        counts = {k: kinds.count(k) for k in
+                  ("scale_out_started", "scale_in_started", "reallocate")}
+        assert counts == {"scale_out_started": 0, "scale_in_started": 0,
+                          "reallocate": 1}
+
     def test_payload_covers_the_observable_surface(self):
         with check_config.override(False):
             payload = digest_payload(run_fig5())

@@ -4,11 +4,18 @@ import pytest
 
 from repro.control import PredictiveDCMController, TrendForecaster
 from repro.errors import ConfigurationError
+from repro.lab.store import payload_digest
 from repro.model import ground_truth_models
 from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import WorkloadTrace
 
 SCALE = 8.0
+
+#: sha256 of the ramp run's controller records, timelines and request log
+#: (``TestPredictiveController.test_same_seed_digest``).
+PREDICTIVE_GOLDEN = (
+    "05327a7a7e63d647a7f1f3b67fede95c275599e453f68b6c0ad8126c07915ab1"
+)
 
 
 def run_autoscale(controller, trace, **kwargs):
@@ -105,9 +112,25 @@ class TestPredictiveController:
             "predictive", self._ramp_trace(), max_users=560, seed=6,
             demand_scale=SCALE, models=ground_truth_models(SCALE),
         )
-        applies = [a for a in run.app_agent.actions if a.action == "apply"]
+        applies = [e for e in run.system.control_log
+                   if e.actor == "app-agent" and e.kind == "apply"]
         assert applies, "level 2 must still re-allocate soft resources"
         assert run.system.soft.db_connections <= 80
+
+    def test_same_seed_digest(self):
+        run = run_autoscale(
+            "predictive", self._ramp_trace(), max_users=560, seed=6,
+            demand_scale=SCALE, models=ground_truth_models(SCALE),
+        )
+        payload = {
+            "events": [[e.time, e.tier, e.kind, e.detail]
+                       for e in run.controller.events],
+            "timelines": {
+                t: run.controller.scaling_timeline(t) for t in ("app", "db")
+            },
+            "request_log": run.system.request_log,
+        }
+        assert payload_digest(payload) == PREDICTIVE_GOLDEN
 
     def test_no_predictive_fire_on_flat_load(self):
         flat = WorkloadTrace((0.0, 100.0), (0.3, 0.3))
