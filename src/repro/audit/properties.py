@@ -16,8 +16,6 @@ satisfy by construction:
   throughput to ulp-level precision;
 * ``seed_permutation`` — the experiment engine returns identical results
   regardless of spec submission order;
-* ``store_conservation`` — broker stores neither lose nor duplicate
-  messages under consumers that abandon their polls.
 * ``scenario_roundtrip`` — a fuzzed :class:`repro.scenario.ScenarioSpec`
   survives its JSON round-trip unchanged, and two deployments built from
   it by the composition root replay identically.
@@ -385,84 +383,6 @@ def _check_permutation(
         passed=not failures,
         failures=failures,
         details={"throughputs": [f.steady.throughput for f in forward]},
-    )
-
-
-# ---------------------------------------------------------------------------
-# store_conservation
-# ---------------------------------------------------------------------------
-
-def _gen_store(rng: np.random.Generator) -> Dict[str, Any]:
-    return {
-        "messages": int(rng.integers(1, 31)),
-        "gap_mean": round(float(rng.uniform(0.2, 3.0)), 3),
-        "poll_timeout": round(float(rng.uniform(0.1, 2.0)), 3),
-        "consumers": int(rng.integers(1, 4)),
-        "cancel": bool(rng.integers(0, 2)),
-    }
-
-
-def _check_store(params: Dict[str, Any], seed: int, **_: Any) -> PropertyResult:
-    from repro.sim import Environment, RandomStreams, Store
-
-    messages = int(params["messages"])
-    gap_mean = float(params["gap_mean"])
-    poll_timeout = float(params["poll_timeout"])
-    consumers = int(params["consumers"])
-    cancel = bool(params.get("cancel", False))
-
-    env = Environment()
-    rng = RandomStreams(seed).stream("audit.store.gaps")
-    store = Store(env, name="audit-store")
-    produced: List[int] = []
-    delivered: List[int] = []
-    horizon = messages * gap_mean + 30.0 * poll_timeout + 5.0
-
-    def producer():
-        for i in range(messages):
-            yield env.timeout(float(rng.exponential(gap_mean)))
-            produced.append(i)
-            store.put(i)
-
-    def consumer():
-        # Poll-with-timeout consumer: every timed-out poll abandons its
-        # getter, either explicitly (cancel) or by walking away — the
-        # store must not hand later messages to those dead getters.
-        while env.now < horizon:
-            ev = store.get()
-            result = yield env.any_of([ev, env.timeout(poll_timeout)])
-            if ev in result:
-                delivered.append(result[ev])
-            elif cancel:
-                ev.cancel()
-
-    env.process(producer())
-    for _ in range(consumers):
-        env.process(consumer())
-    env.run(until=horizon + poll_timeout + 1.0)
-
-    leftover: List[int] = []
-    while True:
-        item = store.try_get()
-        if item is None:
-            break
-        leftover.append(item)
-
-    failures: List[str] = []
-    if len(delivered) != len(set(delivered)):
-        failures.append(f"duplicate delivery: {sorted(delivered)}")
-    accounted = sorted(delivered + leftover)
-    if accounted != sorted(produced):
-        lost = sorted(set(produced) - set(accounted))
-        failures.append(
-            f"conservation violated: produced {len(produced)}, delivered "
-            f"{len(delivered)}, leftover {len(leftover)}"
-            + (f", lost {lost}" if lost else "")
-        )
-    return PropertyResult(
-        passed=not failures,
-        failures=failures,
-        details={"delivered": len(delivered), "leftover": len(leftover)},
     )
 
 
@@ -872,18 +792,6 @@ PROPERTIES: Dict[str, AuditProperty] = {
             check=_check_permutation,
             floors={"points": 2, "users": 5, "duration": 1.0},
             weight=1.0,
-        ),
-        AuditProperty(
-            name="store_conservation",
-            generate=_gen_store,
-            check=_check_store,
-            floors={
-                "messages": 1,
-                "gap_mean": 0.1,
-                "poll_timeout": 0.05,
-                "consumers": 1,
-            },
-            weight=4.0,
         ),
         AuditProperty(
             name="scenario_roundtrip",

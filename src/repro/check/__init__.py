@@ -17,15 +17,18 @@ Two halves guard the invariants the whole reproduction rests on:
 * :mod:`repro.check.sanitizer` + :mod:`repro.check.config` — cheap runtime
   assertions wired into the kernel, pools, servers, cluster, and cache,
   armed by ``REPRO_CHECK=1`` (or :func:`repro.check.config.enable`), raising
-  structured :class:`repro.errors.InvariantViolation`.  CLI: ``repro check``
-  runs sanitized determinism/lifecycle smoke tests.
+  structured :class:`repro.errors.InvariantViolation`.  The tier-1 test
+  suite runs armed.
+
+Every simulation process imports this package (the kernel reads the
+sanitizer switch), so it leaves out the dataflow package:
+:mod:`repro.check.flow` is imported by ``repro lint --deep`` and its other
+callers themselves.
 
 See DESIGN.md §4 for the rule table and invariant catalogue.
 """
 
-from repro.check import config, flow
-from repro.check.config import ReproCheckConfig
-from repro.check.flow import FLOW_RULES, FLOW_RULES_BY_CODE, analyze_paths
+from repro.check import config
 from repro.check.lint import (
     Diagnostic,
     RULES,
@@ -43,29 +46,20 @@ from repro.check.sanitizer import (
     audit_vm,
     verify_payload_roundtrip,
 )
-from repro.check.smoke import SmokeOutcome, result_digest, run_smoke
 
 __all__ = [
     "Diagnostic",
-    "FLOW_RULES",
-    "FLOW_RULES_BY_CODE",
     "RULES",
     "RULES_BY_CODE",
-    "ReproCheckConfig",
     "Rule",
-    "SmokeOutcome",
-    "analyze_paths",
     "audit_billing",
     "audit_resource",
     "audit_server",
     "audit_vm",
     "config",
-    "flow",
     "lint_file",
     "lint_paths",
     "lint_source",
     "render_diagnostics",
-    "result_digest",
-    "run_smoke",
     "verify_payload_roundtrip",
 ]

@@ -1,8 +1,9 @@
-"""Runtime-check switchboard for the ``repro.check`` sanitizer.
+"""Runtime-check switch for the ``repro.check`` sanitizer.
 
 The invariant sanitizer (see :mod:`repro.check.sanitizer` and the inline
 hooks in ``sim``, ``ntier``, ``cluster``, and ``runner``) is off by default
-so production sweeps pay nothing for it.  It is armed
+so production sweeps pay nothing for it.  It is one switch: every check is
+armed, or none is.  It is armed
 
 * process-wide by the ``REPRO_CHECK=1`` environment variable (read once at
   import),
@@ -10,142 +11,79 @@ so production sweeps pay nothing for it.  It is armed
 * lexically via the :func:`override` context manager (what the test-suite
   fixture uses).
 
-Hot paths guard each check with ``config.active("<domain>")`` so a disabled
-sanitizer costs one ``None`` test per hook.  Checks are grouped into
-domains (:class:`ReproCheckConfig` fields) so a caller can, say, keep pool
-accounting armed while skipping the billing audit.
-
-The kernel hot paths in :mod:`repro.sim` go one step further: they cache
-the result of ``active("<domain>")`` in a module-level boolean and register
-a :func:`subscribe` callback so the cached flag is re-resolved whenever the
-configuration changes (``enable``/``disable``/``override`` enter *and*
-exit).  A disarmed check then costs a single global load per event instead
-of a function call plus attribute lookups.
+Cold paths guard each check with :func:`enabled`.  The hot paths in
+:mod:`repro.sim` and :mod:`repro.ntier.server` go one step further: they
+cache :func:`enabled` in a module-level boolean and register a
+:func:`subscribe` callback so the cached flag is re-resolved whenever the
+switch changes (``enable``/``disable``/``override`` enter *and* exit).  A
+disarmed check then costs a single global load per event instead of a
+function call.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterator, List
 
 #: Environment values that mean "off" for ``REPRO_CHECK``.
 _FALSEY = ("", "0", "false", "off", "no")
 
 
-@dataclass(frozen=True)
-class ReproCheckConfig:
-    """Which sanitizer domains are armed.
-
-    Attributes
-    ----------
-    clock:
-        Event-heap monotonicity in :class:`repro.sim.core.Environment`.
-    pools:
-        Slot accounting of :class:`repro.sim.resources.Resource` and the
-        thread/connection pools built on it (occupancy bounds,
-        acquire/release pairing, foreign-handle releases).
-    conservation:
-        Per-server request conservation in :class:`repro.ntier.server.TierServer`
-        (arrived == completed + dropped + in-flight).
-    lifecycle:
-        VM state-machine/timestamp consistency and the billing meter's
-        VM-seconds == integral-of-RUNNING-time audit.
-    cache:
-        Engine cache-key payloads must round-trip through canonical JSON.
-    """
-
-    clock: bool = True
-    pools: bool = True
-    conservation: bool = True
-    lifecycle: bool = True
-    cache: bool = True
-
-
-def _from_env() -> Optional[ReproCheckConfig]:
+def _from_env() -> bool:
     # Process-level feature toggle: it decides whether checks run, never what
     # the simulation computes, so it is exempt from the environ-read lint.
     raw = os.environ.get("REPRO_CHECK", "")  # repro: noqa[DCM006]
-    if raw.strip().lower() in _FALSEY:
-        return None
-    return ReproCheckConfig()
+    return raw.strip().lower() not in _FALSEY
 
 
-_config: Optional[ReproCheckConfig] = _from_env()
+_enabled: bool = _from_env()
 
-#: Callbacks re-run on every configuration change (see :func:`subscribe`).
+#: Callbacks re-run on every switch change (see :func:`subscribe`).
 _subscribers: List[Callable[[], None]] = []
 
 
 def subscribe(callback: Callable[[], None]) -> None:
-    """Invoke ``callback`` now and after every configuration change.
+    """Invoke ``callback`` now and after every switch change.
 
-    Hot-path modules use this to keep a cached ``active("<domain>")``
-    boolean current instead of calling :func:`active` per event.  The
-    callback takes no arguments and should re-read whatever it caches via
-    :func:`active`/:func:`current`.  Subscriptions are process-wide and
-    permanent (modules subscribe once at import).
+    Hot-path modules use this to keep a cached :func:`enabled` boolean
+    current instead of calling it per event.  The callback takes no
+    arguments and should re-read :func:`enabled`.  Subscriptions are
+    process-wide and permanent (modules subscribe once at import).
     """
     _subscribers.append(callback)
     callback()
 
 
-def _notify() -> None:
+def _set(armed: bool) -> None:
+    global _enabled
+    _enabled = armed
     for callback in _subscribers:
         callback()
 
 
-def current() -> Optional[ReproCheckConfig]:
-    """The active configuration, or ``None`` when the sanitizer is off."""
-    return _config
-
-
 def enabled() -> bool:
-    """Whether any runtime checks are armed."""
-    return _config is not None
+    """Whether the runtime checks are armed."""
+    return _enabled
 
 
-def active(domain: str) -> bool:
-    """Whether the named check domain is armed (the hot-path guard)."""
-    return _config is not None and getattr(_config, domain)
-
-
-def enable(config: Optional[ReproCheckConfig] = None) -> ReproCheckConfig:
-    """Arm the sanitizer process-wide (all domains unless ``config`` given)."""
-    global _config
-    _config = config if config is not None else ReproCheckConfig()
-    _notify()
-    return _config
+def enable() -> None:
+    """Arm every runtime check process-wide."""
+    _set(True)
 
 
 def disable() -> None:
-    """Disarm the sanitizer process-wide."""
-    global _config
-    _config = None
-    _notify()
+    """Disarm every runtime check process-wide."""
+    _set(False)
 
 
 @contextmanager
-def override(
-    config: Union[ReproCheckConfig, bool, None] = True,
-) -> Iterator[Optional[ReproCheckConfig]]:
-    """Temporarily set the sanitizer state; restores the previous one.
-
-    ``True`` arms every domain, ``False``/``None`` disarms, and a
-    :class:`ReproCheckConfig` selects domains explicitly.
-    """
-    global _config
-    previous = _config
-    if config is True:
-        _config = ReproCheckConfig()
-    elif config is False or config is None:
-        _config = None
-    else:
-        _config = config
-    _notify()
+def override(armed: bool = True) -> Iterator[None]:
+    """Temporarily arm (``True``) or disarm (``False``) every check;
+    restores the previous state on exit."""
+    previous = _enabled
+    _set(bool(armed))
     try:
-        yield _config
+        yield
     finally:
-        _config = previous
-        _notify()
+        _set(previous)

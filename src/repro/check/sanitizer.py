@@ -2,7 +2,7 @@
 
 The cheap per-operation checks live inline in the hot paths (``sim.core``,
 ``sim.resources``, ``ntier.server``, ``cluster``, ``runner.engine``), guarded
-by :func:`repro.check.config.active`.  This module holds the *whole-object*
+by :func:`repro.check.config.enabled`.  This module holds the *whole-object*
 audits those hooks and the tests share: given a live component, verify its
 books balance and raise :class:`repro.errors.InvariantViolation` when they
 do not.

@@ -32,9 +32,6 @@ Gives operators the library's main entry points without writing Python:
     defaults to the installed ``repro`` package.  ``--deep`` adds the
     interprocedural dataflow analyses (DCM101–DCM103) with optional
     ``--sarif`` output.  Exits 1 on any finding.
-``check``
-    Sanitized smoke checks: two-run determinism digest, runtime invariant
-    sanitizer, and a VM lifecycle/billing audit.  Exits 1 on failure.
 ``audit``
     Differential validation & scenario fuzzing (:mod:`repro.audit`):
     ``repro audit --budget N --seed S`` draws N random scenarios across
@@ -242,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sarif", metavar="FILE", default=None,
         help="write findings as a SARIF 2.1.0 document to FILE",
-    )
-
-    p = sub.add_parser(
-        "check", help="sanitized determinism + invariant smoke checks"
-    )
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument(
-        "--demand-scale", type=float, default=1.0,
-        help="multiply CPU demands (speed knob; knees invariant)",
     )
 
     p = sub.add_parser(
@@ -568,17 +556,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import run_smoke
-
-    outcomes = run_smoke(seed=args.seed, demand_scale=args.demand_scale)
-    rows = [[o.name, "PASS" if o.passed else "FAIL", o.detail]
-            for o in outcomes]
-    print(render_table(["check", "verdict", "detail"], rows,
-                       title=f"sanitized smoke checks (seed {args.seed})"))
-    return 0 if all(o.passed for o in outcomes) else 1
-
-
 def _audit_spec_paths(spec: Optional[str]) -> List[Path]:
     if spec is None:
         raise SystemExit("repro audit replay: a spec file or directory is required")
@@ -765,7 +742,6 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "trace": cmd_trace,
     "lint": cmd_lint,
-    "check": cmd_check,
     "audit": cmd_audit,
     "lab": cmd_lab,
 }

@@ -29,7 +29,7 @@ class BillingMeter:
     # -- lifecycle hooks (called by the hypervisor) ----------------------------------
     def vm_started(self, vm: VirtualMachine) -> None:
         """Begin metering ``vm`` (it just entered RUNNING)."""
-        if _checks.active("lifecycle"):
+        if _checks.enabled():
             if vm.vm_id in self._started:
                 raise InvariantViolation(
                     "cluster.billing", "vm-seconds-integral", self.env.now,
@@ -47,7 +47,7 @@ class BillingMeter:
         a VM killed before ever running was never billed."""
         entry = self._started.pop(vm.vm_id, None)
         if entry is not None:
-            if _checks.active("lifecycle") and self.env.now < entry[1]:
+            if _checks.enabled() and self.env.now < entry[1]:
                 raise InvariantViolation(
                     "cluster.billing", "vm-seconds-integral", self.env.now,
                     f"{vm.name} interval would close before it opened "

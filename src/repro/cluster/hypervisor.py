@@ -111,7 +111,7 @@ class Hypervisor:
         self.billing.vm_stopped(vm)
         if vm.host is not None:
             vm.host.unplace(vm)
-        if _checks.active("lifecycle"):
+        if _checks.enabled():
             audit_vm(vm, self.env.now)
             audit_billing(self)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -112,6 +113,14 @@ def _normalize_payload(raw: Any, step_name: str) -> Tuple[Dict[str, Any], str]:
     return payload, raw.get("type", "table")
 
 
+def _describe(err: Exception) -> str:
+    """``Type: message (dir/file.py:line)``, naming the frame that raised:
+    a bare ``assert`` in an analysis has no message of its own."""
+    frame = traceback.extract_tb(err.__traceback__)[-1]
+    where = os.sep.join(frame.filename.split(os.sep)[-2:])
+    return f"{type(err).__name__}: {err} ({where}:{frame.lineno})"
+
+
 def _analysis_producer(
     suite: str, entry: ExperimentEntry, step
 ) -> Dict[str, Any]:
@@ -143,7 +152,6 @@ def _run_experiment(
     out_dir: str,
     jobs: int,
     reanalyze: bool,
-    strict: bool,
     quiet: bool,
 ) -> ExperimentResult:
     """One experiment: answered from the store, or its specs run and its
@@ -207,11 +215,11 @@ def _run_experiment(
             text = payload.get("text")
             if isinstance(text, str):
                 _emit_text(out_dir, step.artifact_name, text, quiet)
-    except Exception as err:  # noqa: BLE001 - recorded per experiment
-        if strict:
-            raise
+    # Any error, a sanitizer finding included, becomes the experiment's
+    # recorded error; `repro lab run` exits 1 when an experiment failed.
+    except Exception as err:  # repro: noqa[DCM010] -- recorded, not swallowed
         result.status = "failed"
-        result.error = f"{type(err).__name__}: {err}"
+        result.error = _describe(err)
     return result
 
 
@@ -222,7 +230,6 @@ def run_suite(
     store_dir: Optional[str] = None,
     jobs: int = 1,
     reanalyze: bool = False,
-    strict: bool = False,
     quiet: bool = False,
     keyword: Optional[str] = None,
     tags: Sequence[str] = (),
@@ -231,11 +238,11 @@ def run_suite(
     """Execute (a selection of) a suite; see the module docstring.
 
     ``reanalyze`` forces analyses (and therefore spec execution) to re-run
-    even when every artifact is stored — the pytest shims use it so the
-    paper-shape assertions are really exercised; point results still come
-    from the store.  ``strict`` re-raises the first analysis failure
-    (assertion errors included) instead of recording it.  With no
-    ``store_dir`` nothing is read from or written to any store.
+    even when every artifact is stored, so the paper-shape assertions are
+    really exercised; point results still come from the store.  A failing
+    experiment (assertion errors included) is recorded as ``failed`` with
+    its ``error``, never raised.  With no ``store_dir`` nothing is read
+    from or written to any store.
     """
     if keyword or tags:
         manifest = manifest.select(keyword=keyword, tags=tags)
@@ -246,7 +253,7 @@ def run_suite(
         start = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
         result = _run_experiment(
             manifest.name, entry, store=store, out_dir=out_dir, jobs=jobs,
-            reanalyze=reanalyze, strict=strict, quiet=quiet,
+            reanalyze=reanalyze, quiet=quiet,
         )
         result.wall_seconds = time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
         results[entry.name] = result

@@ -179,19 +179,6 @@ class ArtifactStore:
             raise
         return entry
 
-    def put_artifact(
-        self,
-        producer: Any,
-        payload: Any,
-        *,
-        inputs: Sequence[str] = (),
-        type: str = "blob",
-    ) -> str:
-        """Key the artifact from its provenance, store it, return the key."""
-        key = artifact_key(producer, inputs)
-        self.put(key, payload, producer=producer, type=type)
-        return key
-
     # -- runs ----------------------------------------------------------------
 
     def next_run_id(self) -> str:

@@ -70,7 +70,6 @@ class OnlineModelEstimator:
         self.max_knee = max_knee
         self.window = window
         self._models: Dict[str, ConcurrencyModel] = {}
-        self._fits: Dict[str, FitResult] = {}
         self._seeded: Dict[str, bool] = {}
 
     # -- seeding ------------------------------------------------------------------
@@ -90,14 +89,6 @@ class OnlineModelEstimator:
             return self._models[tier]
         except KeyError:
             raise ModelError(f"no model available for tier {tier!r}") from None
-
-    def has_model(self, tier: str) -> bool:
-        """Whether any model (seed or fitted) exists for ``tier``."""
-        return tier in self._models
-
-    def last_fit(self, tier: str) -> Optional[FitResult]:
-        """The most recent accepted online fit for ``tier``."""
-        return self._fits.get(tier)
 
     # -- refitting -----------------------------------------------------------------
     def samples(self, tier: str, now: float) -> List[Tuple[float, float]]:
@@ -133,6 +124,5 @@ class OnlineModelEstimator:
         if result.r_squared < self.min_r_squared:
             return None
         self._models[tier] = result.model
-        self._fits[tier] = result
         self._seeded[tier] = False
         return result

@@ -10,7 +10,7 @@ topology scales.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.broker.producer import Producer
 from repro.errors import BrokerError
@@ -103,10 +103,6 @@ class MonitorFleet:
     def agents(self) -> Dict[str, MonitoringAgent]:
         """Live agents keyed by server name."""
         return dict(self._agents)
-
-    def agent_for(self, server_name: str) -> Optional[MonitoringAgent]:
-        """The agent monitoring ``server_name``, if any."""
-        return self._agents.get(server_name)
 
     def reconcile(self) -> None:
         """Start agents for new servers, stop agents for removed ones."""

@@ -221,14 +221,3 @@ class Balancer:
             result = yield server.handle(request, **kwargs)
             return result
         return (yield from self.chain(env, self, request, kwargs))
-
-
-def drain_and_wait(server: "TierServer") -> Callable:
-    """Convenience: returns a process generator that drains ``server`` and
-    finishes when its last in-flight request completes."""
-
-    def _proc(env):
-        server.begin_drain()
-        yield server.drained_event()
-
-    return _proc

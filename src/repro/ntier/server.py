@@ -35,15 +35,15 @@ from repro.sim.processor import ContentionProcessor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
-#: Cached ``config.active("conservation")``; re-resolved whenever the
-#: sanitizer configuration changes (the ``_POOL_CHECK`` pattern of
+#: Cached :func:`repro.check.config.enabled`; re-resolved whenever the
+#: sanitizer switch changes (the ``_POOL_CHECK`` pattern of
 #: :mod:`repro.sim.resources`), so a disarmed booking pays one global load.
 _CONSERVATION_CHECK = False
 
 
 def _refresh_check_flags() -> None:
     global _CONSERVATION_CHECK
-    _CONSERVATION_CHECK = _checks.active("conservation")
+    _CONSERVATION_CHECK = _checks.enabled()
 
 
 _checks.subscribe(_refresh_check_flags)
@@ -115,10 +115,6 @@ class TierServer:
     def inflight(self) -> int:
         """Independently tracked in-flight count (sanitizer cross-check)."""
         return self._inflight
-
-    def set_accepting(self, value: bool) -> None:
-        """Administratively enable/disable admission (VM lifecycle hook)."""
-        self._accepting = bool(value)
 
     def begin_drain(self) -> None:
         """Stop accepting new work; in-flight interactions run to completion."""

@@ -438,10 +438,6 @@ class NTierSystem:
         """Number of successfully completed requests so far."""
         return len(self.request_log)
 
-    def db_concurrency(self) -> int:
-        """Total queries in service across the DB tier (paper's key metric)."""
-        return sum(s.active_queries for s in self.tier_servers("db"))
-
     def max_db_concurrency(self) -> int:
         """Upper bound on DB concurrency from the live Tomcat conn pools."""
         return sum(s.db_pool.size for s in self.active_servers("app"))

@@ -77,7 +77,7 @@ def store_key(producer: Dict[str, Any]) -> str:
     """The store key of one point: :func:`repro.lab.store.artifact_key` of
     its plain-JSON description.
 
-    With the ``cache`` check domain armed (see :mod:`repro.check`), the
+    With the sanitizer armed (see :mod:`repro.check`), the
     canonical JSON is decoded back and compared against the description —
     one that changes shape through JSON (tuples, NaN, non-string keys)
     would silently decouple the key from what actually runs.
@@ -85,7 +85,7 @@ def store_key(producer: Dict[str, Any]) -> str:
     from repro.check import config as _checks
     from repro.check.sanitizer import verify_payload_roundtrip
 
-    if _checks.active("cache"):
+    if _checks.enabled():
         verify_payload_roundtrip(producer, canonical_json(producer))
     return artifact_key(producer)
 

@@ -20,7 +20,7 @@ from repro.sim.events import (
     any_of,
 )
 from repro.sim.processor import ContentionProcessor
-from repro.sim.resources import Acquire, Resource, Store, StoreGet
+from repro.sim.resources import Acquire, Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "Store",
-    "StoreGet",
     "Timeout",
     "all_of",
     "any_of",

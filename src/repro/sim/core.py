@@ -25,12 +25,12 @@ scheduling order (``seq``, a counter that every queued entry advances).
 :meth:`Environment.run` is the kernel's innermost loop — every simulated
 event in every experiment passes through it — so it inlines the work of
 :meth:`step` (heap pop, clock advance, callback dispatch) with
-function-local bindings instead of calling ``self.step()`` per event, and
-splits into a guard-free fast loop when there is no ``until`` bound.
+function-local bindings instead of calling ``self.step()`` per event.  An
+unbounded run is the bounded loop with an infinite stop time.
 :meth:`step` keeps the identical one-event semantics for callers that
 single-step.  The monotonic-clock sanitizer guard reads a module-level
 boolean (``_CLOCK_CHECK``) kept current by a :func:`repro.check.config.subscribe`
-callback rather than calling ``config.active("clock")`` per event; ``run``
+callback rather than calling ``config.enabled()`` per event; ``run``
 binds it to a loop-local once on entry, so (dis)arming the sanitizer takes
 effect at the next ``run``/``step`` call.
 
@@ -101,14 +101,14 @@ from repro.sim.events import (
 
 _INF = float("inf")
 
-#: Cached ``config.active("clock")``; re-resolved whenever the sanitizer
-#: configuration changes.
+#: Cached :func:`repro.check.config.enabled`; re-resolved whenever the
+#: sanitizer switch changes.
 _CLOCK_CHECK = False
 
 
 def _refresh_check_flags() -> None:
     global _CLOCK_CHECK
-    _CLOCK_CHECK = _checks.active("clock")
+    _CLOCK_CHECK = _checks.enabled()
 
 
 _checks.subscribe(_refresh_check_flags)
@@ -139,8 +139,9 @@ class Environment:
         #: False only while the loop runs one of several callbacks of one
         #: event (see "In-place dispatch" in the module notes).
         self._lone = True
+        #: The process being resumed, if any (read by ``Process.interrupt``
+        #: and by ``TierServer`` to find its own interaction process).
         self._active_proc: Optional[Process] = None
-        self._active_event: Optional[Event] = None
         self._heap: list[tuple[float, int, int, Any]] = []
 
     # -- clock & introspection ----------------------------------------------
@@ -148,16 +149,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
-
-    @property
-    def active_event(self) -> Optional[Event]:
-        """The event whose callbacks are currently running, if any."""
-        return self._active_event
 
     @property
     def queue_size(self) -> int:
@@ -246,7 +237,6 @@ class Environment:
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
-            self._active_event = event
             if len(callbacks) == 1:
                 callbacks[0](event)
             else:
@@ -254,7 +244,6 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
                 self._lone = True
-            self._active_event = None
         elif not event._ok and isinstance(event, Process):
             # A failed process nobody is waiting on: surface the error rather
             # than dropping it silently.
@@ -287,10 +276,8 @@ class Environment:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        # Hot loop: inlined step() with local bindings.  The unbounded case
-        # (no stop event, no stop time) runs a dedicated loop without the
-        # per-event stop checks.  Both loops are semantically identical to
-        # step(); event states are the literal PENDING=0 / PROCESSED=2.
+        # Hot loop: inlined step() with local bindings, semantically identical
+        # to step(); event states are the literal PENDING=0 / PROCESSED=2.
         heap = self._heap
         pop = heappop
         clock_check = _CLOCK_CHECK  # resolved once per run() entry
@@ -301,37 +288,6 @@ class Environment:
         # written at points where user code can observe it (process resume,
         # callback dispatch, an escaping exception) and once when the loop
         # ends.  Events with no observers never pay the attribute store.
-        if stop_event is None and stop_time == _INF:
-            while heap:
-                when, _prio, _seq, event = pop(heap)
-                if clock_check and when < now:
-                    self._now = now
-                    raise _clock_violation(now, when)
-                now = when
-                if event._state == 0:
-                    self._now = now
-                    event._start()
-                    continue
-                event._state = 2
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self._now = now
-                    self._active_event = event
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        self._lone = False
-                        for callback in callbacks:
-                            callback(event)
-                        self._lone = True
-                    self._active_event = None
-                elif not event._ok and isinstance(event, Process):
-                    self._now = now
-                    raise event._value
-            self._now = now
-            return None
-
         while heap:
             if stop_event is not None and stop_event._state == 2:
                 break
@@ -352,7 +308,6 @@ class Environment:
             event.callbacks = None
             if callbacks:
                 self._now = now
-                self._active_event = event
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
@@ -360,7 +315,6 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                     self._lone = True
-                self._active_event = None
             elif not event._ok and isinstance(event, Process):
                 self._now = now
                 raise event._value

@@ -160,8 +160,6 @@ class Event:
             callbacks = self.callbacks
             self.callbacks = None
             if callbacks:
-                outer = env._active_event
-                env._active_event = self
                 if len(callbacks) == 1:
                     callbacks[0](self)
                 else:
@@ -169,7 +167,6 @@ class Event:
                     for callback in callbacks:
                         callback(self)
                     env._lone = True
-                env._active_event = outer
             return
         self._value = value
         self._state = TRIGGERED

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: counted semaphores and FIFO stores.
+"""Shared-resource primitive: the counted semaphore.
 
 :class:`Resource` is the building block for thread pools and connection
 pools: a counted semaphore with a FIFO wait queue whose capacity can be
@@ -17,7 +17,7 @@ in-place dispatch rule of :mod:`repro.sim.core`).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Deque
 
 from repro.check import config as _checks
 from repro.errors import ConfigurationError, InvariantViolation, SimulationError
@@ -26,15 +26,15 @@ from repro.sim.events import PENDING, PROCESSED, Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
-#: Cached ``config.active("pools")``; re-resolved whenever the sanitizer
-#: configuration changes, so acquire/release pay one global load, not a
+#: Cached :func:`repro.check.config.enabled`; re-resolved whenever the
+#: sanitizer switch changes, so acquire/release pay one global load, not a
 #: function call, when the checks are disarmed.
 _POOL_CHECK = False
 
 
 def _refresh_check_flags() -> None:
     global _POOL_CHECK
-    _POOL_CHECK = _checks.active("pools")
+    _POOL_CHECK = _checks.enabled()
 
 
 _checks.subscribe(_refresh_check_flags)
@@ -253,106 +253,3 @@ class Resource:
             # Already withdrawn by an earlier cancel(); nothing to do.
             return False
         return True
-
-
-class StoreGet(Event):
-    """Pending retrieval of one :class:`Store` item.
-
-    Fires with the oldest item once one is available.  A getter that gives
-    up (e.g. a consumer poll timing out in an ``any_of``) should call
-    :meth:`cancel` so a later ``put`` is not delivered into an event nobody
-    reads any more.
-    """
-
-    __slots__ = ("store",)
-
-    def __init__(self, env: "Environment", store: "Store") -> None:
-        # Inline Event.__init__ (see Acquire): one per blocking get.
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = 0  # PENDING
-        self.store = store
-
-    def cancel(self) -> bool:
-        """Withdraw a still-pending get.  Idempotent.
-
-        Returns ``True`` if the get was waiting and has been removed from
-        the store's getter queue; ``False`` if there was nothing to withdraw
-        (the item was already delivered, or the get was already cancelled).
-        """
-        if self._state != PENDING:
-            return False
-        try:
-            self.store._getters.remove(self)
-        except ValueError:
-            return False
-        return True
-
-
-def _has_live_waiter(ev: StoreGet) -> bool:
-    """Whether anybody would still observe ``ev`` firing.
-
-    A queued getter is *dead* when every registered callback belongs to an
-    event that already fired without it — the waiting process was
-    interrupted (its ``_resume`` was removed, leaving no callbacks) or it
-    was waiting through a :class:`~repro.sim.events.Condition` (``any_of``
-    poll-with-timeout) that has since triggered on another child.  Anything
-    else is conservatively treated as live.
-    """
-    for callback in ev.callbacks:
-        owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Event) and owner._state != PENDING:
-            continue  # a fired Condition / finished Process: nobody's home
-        return True
-    return False
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``.
-
-    Used for blocking consumer polls (broker-style message delivery).
-    ``put`` never blocks; ``get`` returns an event that fires with the
-    oldest item.  A ``put`` never hands an item to an *abandoned* getter:
-    cancelled and dead getters (interrupted processes, timed-out ``any_of``
-    waits) are skipped and purged, so a message is only consumed by a getter
-    someone is still waiting on.
-    """
-
-    def __init__(self, env: "Environment", name: str = "") -> None:
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``, waking the oldest *live* blocked getter if any."""
-        getters = self._getters
-        while getters:
-            ev = getters.popleft()
-            if _has_live_waiter(ev):
-                ev.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> StoreGet:
-        """Return an event that fires with the oldest item.
-
-        The event must either be waited on or cancelled (see
-        :meth:`StoreGet.cancel`); a getter abandoned without cancelling is
-        purged on the next ``put`` that reaches it.
-        """
-        ev = StoreGet(self.env, self)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; ``None`` when empty."""
-        return self._items.popleft() if self._items else None

@@ -92,11 +92,6 @@ class TraceDrivenGenerator:
         """User target at trace time ``t`` (level × max_users, rounded)."""
         return int(round(self.trace.level_at(t) * self.max_users))
 
-    @property
-    def applied_targets(self) -> List[Tuple[float, int]]:
-        """``(time, users)`` targets actually applied during replay."""
-        return list(self._applied)
-
     # -- internals ------------------------------------------------------------------
     def _replay(self):
         start = self.env.now

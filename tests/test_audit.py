@@ -69,7 +69,6 @@ class TestProperties:
             "k_server_symmetry",
             "service_time_scaling",
             "seed_permutation",
-            "store_conservation",
             "scenario_roundtrip",
             "fault_conservation",
             "shard_conservation",
@@ -108,24 +107,6 @@ class TestProperties:
             )
         )
         assert result.passed, result.failures
-
-    def test_store_conservation_with_and_without_cancel(self):
-        for cancel in (False, True):
-            result = run_scenario(
-                Scenario(
-                    "store_conservation",
-                    {
-                        "messages": 8,
-                        "gap_mean": 1.5,
-                        "poll_timeout": 0.6,
-                        "consumers": 2,
-                        "cancel": cancel,
-                    },
-                    11,
-                )
-            )
-            assert result.passed, (cancel, result.failures)
-            assert result.details["delivered"] + result.details["leftover"] == 8
 
     @pytest.mark.slow
     def test_service_time_scaling(self):
@@ -281,4 +262,7 @@ class TestCorpus:
         assert result.passed, (spec.name, result.failures)
 
     def test_corpus_is_not_empty(self):
-        assert len(list(CORPUS.glob("*.json"))) >= 2
+        specs = [Scenario.load(path) for path in sorted(CORPUS.glob("*.json"))]
+        assert specs
+        # A property deleted from the registry takes its corpus specs along.
+        assert {spec.property for spec in specs} <= set(PROPERTIES)

@@ -224,64 +224,3 @@ class TestMetricRecord:
         assert back == rec
         assert back.get("throughput") == 800.0
         assert back.get("missing", -1.0) == -1.0
-
-
-class TestStorePollTimeout:
-    """Regression tests for the blocked-getter leak in ``Store``.
-
-    A broker-style consumer that polls with a timeout abandons its getter
-    event each time the poll times out.  Those abandoned getters used to
-    stay queued and silently swallow the next ``put`` — losing a message.
-    """
-
-    def _run(self, put_times, poll_timeout, horizon, cancel=False):
-        from repro.sim import Environment, Store
-
-        env = Environment()
-        store = Store(env, name="inbox")
-        delivered = []
-
-        def producer(env):
-            last = 0.0
-            for i, at in enumerate(put_times):
-                yield env.timeout(at - last)
-                last = at
-                store.put(i)
-
-        def consumer(env):
-            while True:
-                ev = store.get()
-                result = yield env.any_of([ev, env.timeout(poll_timeout)])
-                if ev in result:
-                    delivered.append(result[ev])
-                elif cancel:
-                    ev.cancel()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run(until=horizon)
-        return delivered, list(store._items)
-
-    def test_put_after_timed_out_polls_is_not_swallowed(self):
-        # Two polls time out (abandoning two getters) before the first put.
-        delivered, remaining = self._run(
-            put_times=[2.5], poll_timeout=1.0, horizon=10.0
-        )
-        assert delivered == [0]
-        assert remaining == []
-
-    def test_every_message_is_delivered_exactly_once(self):
-        puts = [0.4, 2.7, 2.9, 5.3, 8.1]
-        delivered, remaining = self._run(
-            put_times=puts, poll_timeout=1.0, horizon=20.0
-        )
-        assert sorted(delivered + remaining) == list(range(len(puts)))
-        assert len(delivered) == len(set(delivered))
-        assert delivered == list(range(len(puts)))
-
-    def test_cancelling_consumer_loses_nothing_either(self):
-        delivered, remaining = self._run(
-            put_times=[2.5, 3.2], poll_timeout=1.0, horizon=10.0, cancel=True
-        )
-        assert delivered == [0, 1]
-        assert remaining == []

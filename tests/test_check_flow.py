@@ -8,6 +8,8 @@ tree).  The acceptance test at the bottom pins ``repro lint --deep`` over
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -301,3 +303,16 @@ class TestAcceptance:
         diags = analyze_paths([str(tmp_path)])
         assert [d.code for d in diags] == ["DCM101"]
         assert diags[0].path == str(bad)
+
+    def test_simulator_import_leaves_the_flow_package_out(self):
+        # The kernel imports repro.check for the sanitizer switch; that must
+        # not compile the dataflow analyses into every simulation process.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.scenario; "
+             "print('repro.check.flow' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(REPO_SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -41,6 +41,16 @@ def tiny_spec(seed=3):
     )
 
 
+def run_ok(manifest, **kwargs):
+    """:func:`run_suite`, quietly; fails the test with the recorded error
+    of every failed experiment."""
+    suite_run = run_suite(manifest, quiet=True, **kwargs)
+    assert suite_run.ok, {
+        name: r.error for name, r in suite_run.results.items() if r.error
+    }
+    return suite_run
+
+
 def tiny_manifest(name="unit-suite"):
     return SuiteManifest(
         name=name,
@@ -261,10 +271,9 @@ class TestRunAndDiff:
         kwargs = dict(
             out_dir=str(tmp_path / "out"),
             store_dir=str(tmp_path / "store"),
-            strict=True, quiet=True,
         )
-        first = run_suite(manifest, **kwargs)
-        second = run_suite(manifest, **kwargs)
+        first = run_ok(manifest, **kwargs)
+        second = run_ok(manifest, **kwargs)
         return first, second
 
     def test_second_run_is_fully_cached_and_diff_empty(self, tmp_path):
@@ -286,9 +295,8 @@ class TestRunAndDiff:
         path = out / "a_table.txt"
         golden = path.read_bytes()
         path.unlink()
-        third = run_suite(
+        third = run_ok(
             manifest, out_dir=str(out), store_dir=str(tmp_path / "store"),
-            strict=True, quiet=True,
         )
         assert third.fully_cached
         assert path.read_bytes() == golden
@@ -323,9 +331,9 @@ class TestRunAndDiff:
             ),
             comparisons=base.comparisons,
         )
-        third = run_suite(
+        third = run_ok(
             bumped, out_dir=str(tmp_path / "out"),
-            store_dir=str(tmp_path / "store"), strict=True, quiet=True,
+            store_dir=str(tmp_path / "store"),
         )
         # "a" untouched -> cached; "b" reruns under its new key.
         assert third.results["a"].status == "cached"
@@ -340,11 +348,10 @@ class TestRunAndDiff:
         default = tmp_path / "default-store"
         default.mkdir()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
-        suite_run = run_suite(
+        suite_run = run_ok(
             tiny_manifest(), out_dir=str(tmp_path / "out"), store_dir=None,
-            strict=True, quiet=True,
         )
-        assert suite_run.ok and suite_run.store is None
+        assert suite_run.store is None
         assert os.listdir(default) == []
 
     def test_wall_seconds_covers_the_analysis(self, tmp_path):
@@ -356,9 +363,9 @@ class TestRunAndDiff:
                     "tests.test_lab:points_run_by_analysis", name="own"),),
             ),),
         )
-        suite_run = run_suite(
+        suite_run = run_ok(
             manifest, out_dir=str(tmp_path / "out"),
-            store_dir=str(tmp_path / "store"), strict=True, quiet=True,
+            store_dir=str(tmp_path / "store"),
         )
         result = suite_run.results["own_points"]
         analysis_seconds = result.artifacts["own"]["metrics"]["analysis_seconds"]
@@ -383,12 +390,13 @@ class TestRunAndDiff:
         )
         assert not suite_run.ok
         assert suite_run.results["boom"].status == "failed"
-        assert "scenario" in suite_run.results["boom"].error
-        with pytest.raises(ConfigurationError):
-            run_suite(
-                manifest, out_dir=str(tmp_path / "out"),
-                store_dir=str(tmp_path / "store"), quiet=True, strict=True,
-            )
+        error = suite_run.results["boom"].error
+        assert error.startswith(f"{ConfigurationError.__name__}: ")
+        assert "scenario" in error
+        # The raising frame is named: a bare assert has no message to show.
+        assert f"({os.path.join('lab', 'analyses.py')}:" in error
+        record = suite_run.index["experiments"]["boom"]
+        assert record["status"] == "failed" and record["error"] == error
 
 
 @pytest.mark.slow
@@ -406,10 +414,10 @@ class TestQuickManifestEndToEnd:
         kwargs = dict(
             out_dir=str(tmp_path / "out"),
             store_dir=str(tmp_path / "store"),
-            strict=True, quiet=True, tags=("quick",),
+            tags=("quick",),
         )
-        first = run_suite(manifest, **kwargs)
-        second = run_suite(manifest, **kwargs)
+        first = run_ok(manifest, **kwargs)
+        second = run_ok(manifest, **kwargs)
         assert second.fully_cached
         totals = second.totals()
         assert totals["points_misses"] == 0 and totals["analyses_misses"] == 0

@@ -211,6 +211,17 @@ class TestSystemTopology:
             )
 
     def test_end_to_end_conservation(self):
+        # Two inputs, run with the sanitizer armed (tests/conftest.py): a
+        # bare sharded system fed 200 open submissions, and a stateful
+        # deployment whose closed-loop users read through a cache-aside
+        # tier and write 15 % of the time.
+        for system in (self._open_submissions(), self._stateful_deployment()):
+            for sid, st in system.db_balancer.shard_stats().items():
+                assert st["routed"] == st["arrivals"], (sid, st)
+                assert st["routed"] == st["completed"] + st["failed"], (sid, st)
+
+    @staticmethod
+    def _open_submissions():
         env = Environment()
         system = NTierSystem(
             env, RandomStreams(5), sharding=ShardingSpec(shards=2, replicas=1)
@@ -219,9 +230,35 @@ class TestSystemTopology:
             system.submit()
         env.run(until=60.0)
         assert system.completed_count() == 200
-        for sid, st in system.db_balancer.shard_stats().items():
-            assert st["routed"] == st["arrivals"], (sid, st)
-            assert st["routed"] == st["completed"] + st["failed"], (sid, st)
+        return system
+
+    @staticmethod
+    def _stateful_deployment():
+        spec = ScenarioSpec(
+            hardware="1/2/1",
+            seed=0,
+            demand_scale=0.5,
+            monitoring=False,
+            workload="rubbos",
+            users=20,
+            think_time=1.0,
+            duration=10.0,
+            cache=CacheSpec(),
+            sharding=ShardingSpec(shards=2, replicas=1),
+            write_fraction=0.15,
+        )
+        with Deployment(spec) as dep:
+            dep.run()
+        # Settle in-flight closed-loop requests so the books can balance.
+        dep.env.run(until=dep.env.now + 30.0)
+        system = dep.system
+        assert system.completed_count() > 0
+        assert system.cache.hit_rate() > 0.0
+        assert sum(
+            s.completions for s in system.tier_servers("db")
+            if s.role == "primary"
+        ) > 0, "no queries reached a shard primary"
+        return system
 
 
 class TestShardPrimaryCrashFault:

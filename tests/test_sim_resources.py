@@ -1,9 +1,9 @@
-"""Unit tests for Resource (resizable FIFO semaphore) and Store."""
+"""Unit tests for Resource (resizable FIFO semaphore)."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def hold(env, res, duration, log, tag):
@@ -200,101 +200,3 @@ def test_occupancy_integral_tracks_time_weighted_usage():
     env.run()
     # a holds [0,4], b holds [0,2] -> integral = 4 + 2 = 6
     assert res.occupancy_integral() == pytest.approx(6.0)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    got = []
-
-    def getter(env):
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(getter(env))
-    env.run()
-    assert got == [1, 2]
-
-
-def test_store_blocking_get_wakes_on_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(env):
-        item = yield store.get()
-        got.append((item, env.now))
-
-    def putter(env):
-        yield env.timeout(3.0)
-        store.put("x")
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert got == [("x", 3.0)]
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put("a")
-    assert len(store) == 1
-    assert store.try_get() == "a"
-    assert store.try_get() is None
-
-
-def test_store_get_cancel_is_idempotent():
-    env = Environment()
-    store = Store(env)
-    ev = store.get()
-    assert ev.cancel() is True
-    assert ev.cancel() is False
-    # A cancelled getter never swallows a put.
-    store.put("x")
-    assert len(store) == 1
-    assert store.try_get() == "x"
-
-
-def test_store_get_cancel_after_delivery_returns_false():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    ev = store.get()  # satisfied immediately
-    assert ev.cancel() is False
-
-
-def test_store_put_skips_interrupted_getter():
-    from repro.sim.events import Interrupt
-
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(env):
-        try:
-            item = yield store.get()
-            got.append(item)
-        except Interrupt:
-            pass
-
-    proc = env.process(getter(env))
-
-    def killer(env):
-        yield env.timeout(1.0)
-        proc.interrupt("gave up")
-
-    def putter(env):
-        yield env.timeout(2.0)
-        store.put("late")
-
-    env.process(killer(env))
-    env.process(putter(env))
-    env.run()
-    # The interrupted getter's abandoned event must not consume the item.
-    assert got == []
-    assert len(store) == 1
-    assert store.try_get() == "late"
